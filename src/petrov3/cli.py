@@ -126,7 +126,9 @@ def cmd_solve(args) -> int:
         a = (RatFn.const(0, 4), RatFn.const(1, 4))
         _, sol = pdesolve.k0_solve(conn, a, chi)
         r1, r2 = pdesolve.residual_eqn(sol)
-        assert r1.is_zero() and r2.is_zero()
+        if not (r1.is_zero() and r2.is_zero()):
+            print("error: k0 solution fails the residual equations", file=sys.stderr)
+            return 3
         _dump(args.out, sol.to_json())
         return 0
     if args.method == "characteristics":
@@ -153,8 +155,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    data = _load_json(args.input)
-    if "Gamma" in data or "case" in data:
+    try:
+        data = _load_json(args.input)
+        is_connection = "Gamma" in data or "case" in data
+        pts = _base_points(args) if is_connection else _chart_points(args)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        print(f"error: malformed input: {exc}", file=sys.stderr)
+        return 2
+    if is_connection:
         if "case" in data:
             conn = pdesolve.connection_normal_form(
                 data["case"],
@@ -167,16 +175,14 @@ def cmd_classify(args) -> int:
             print("error: connection requires transcendental data; rerun with "
                   "--mode numeric", file=sys.stderr)
             return 2
-        pts = _base_points(args)
         _dump(args.out, pdesolve.classify_connection(conn, pts, zero_tol=args.zero_tol))
         return 0
 
     try:
-        m = tensorcalc.ChartMetric.from_json(data)
+        m = tensorcalc.ChartMetric.from_json(data.get("metric", data))
     except (KeyError, ValueError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
-    pts = _chart_points(args)
     ginv = tensorcalc.metric_inverse(m)
     curv = tensorcalc.riemann(tensorcalc.christoffel(m, ginv), m)
     W4 = tensorcalc.weyl(curv, m, None, einstein_shortcut=False)

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import builder, duality, tensorcalc
 from .builder import SolutionData
-from .exactfield import RatFn, sample_points
+from .exactfield import PoleAtPoint, RatFn, sample_points
 from .tensorcalc import DIM, ChartMetric
 
 
@@ -207,33 +207,41 @@ def frame_tables(bundle: VerificationBundle):
         "eta": [[builder.form_pair(eta, fr[a], fr[b]) for b in range(4)] for a in range(4)],
         "theta": [[builder.form_pair(theta, fr[a], fr[b]) for b in range(4)] for a in range(4)],
     }
-    R = bundle.curvature.riemann
-    curv_table = [[[[_frame_curv(R, fr, a, b, c, d) for d in range(4)] for c in range(4)]
-                   for b in range(4)] for a in range(4)]
-    return tables, curv_table
+    return tables, frame_components(bundle.curvature.riemann, fr)
 
 
-def _frame_curv(R, fr, a, b, c, d):
+def frame_components(T, fr):
+    """Frame components T(e_a, e_b, e_c, e_d) of a 4-slot chart tensor.
+
+    Contracts one slot per pass, T[i][j][k][l] -> T[j][k][l][a] with
+    T[j][k][l][a] = sum_i fr[a][i] T[i][j][k][l], so after four passes the
+    slots read [a][b][c][d].  That is 4 x 256 x 4 products instead of the
+    256 x 4^4 of contracting all four slots at once; zero frame entries and
+    zero tensor entries are skipped.
+    """
+    for _ in range(4):
+        T = [[[[_contract_slot(fr[a], [T[i][j][k][l] for i in range(DIM)])
+                for a in range(4)] for l in range(DIM)] for k in range(DIM)]
+             for j in range(DIM)]
+    return T
+
+
+def _contract_slot(e, column):
     s = RatFn.const(0, 4)
-    for i in range(DIM):
-        if fr[a][i].is_zero():
-            continue
-        for j in range(DIM):
-            if fr[b][j].is_zero():
-                continue
-            for k in range(DIM):
-                if fr[c][k].is_zero():
-                    continue
-                for l in range(DIM):
-                    if fr[d][l].is_zero():
-                        continue
-                    s = s + fr[a][i] * fr[b][j] * fr[c][k] * fr[d][l] * R[i][j][k][l]
+    for ei, ti in zip(e, column):
+        if not ei.is_zero() and not ti.is_zero():
+            s = s + ei * ti
     return s
 
 
 def verify_curvature_homogeneity(bundle: VerificationBundle, n_points: int = 10,
                                  seed: int = 0) -> CheckReport:
-    """Frame component tables constant, matching the canonical nonzero pattern."""
+    """Frame component tables constant, matching the canonical nonzero pattern.
+
+    The check is exact and evaluates no point, so the report says 0 points
+    sampled; `n_points` and `seed` are accepted for call compatibility with
+    the sampling checks and are ignored.
+    """
     tables, curv_table = frame_tables(bundle)
     problems = []
     for name, tab in tables.items():
@@ -257,11 +265,9 @@ def verify_curvature_homogeneity(bundle: VerificationBundle, n_points: int = 10,
                         problems.append(f"R[{a}{b}{c}{d}] not constant")
                     elif not entry.is_zero():
                         const_curv[f"{a}{b}{c}{d}"] = str(entry.constant_value())
-    pts = sample_points(n_points, seed=seed)
     return CheckReport(name="curvature_homogeneity", mode="exact",
                        status="pass" if not problems else "fail",
                        residual_max="0 (exact)" if not problems else "; ".join(problems[:4]),
-                       points_sampled=len(pts),
                        details={"curvatureComponents": const_curv})
 
 
@@ -356,7 +362,7 @@ def _find_witness(inv: RatFn):
             pt = (y[0], y[1], x[0], x[1])
             try:
                 vals.append((pt, inv.eval(pt)))
-            except Exception:
+            except PoleAtPoint:
                 continue
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
@@ -393,7 +399,7 @@ def run_suite(sol: SolutionData, checks=ALL_CHECKS, seed: int = 0,
     if "identity" in wanted:
         reports.append(verify_curvature_identity(bundle))
     if "homogeneous" in wanted:
-        reports.append(verify_curvature_homogeneity(bundle, seed=seed))
+        reports.append(verify_curvature_homogeneity(bundle))
     if "witness" in wanted:
         reports.append(nonhomogeneity_witness(bundle, seed=seed))
     return reports

@@ -121,6 +121,20 @@ def test_solve_k0_family(tmp_path):
     assert run(["solve", "--family", "k0", "--chi", "[]", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["K"] == "0"
+    default = tmp_path / "default.json"
+    assert run(["solve", "--family", "k0", "--out", str(default)]) == 0
+    assert json.loads(default.read_text()) == data
+
+
+def test_solve_k0_residual_failure_exit3(tmp_path, monkeypatch):
+    from petrov3 import pdesolve
+    from petrov3.exactfield import RatFn
+
+    monkeypatch.setattr(pdesolve, "residual_eqn",
+                        lambda sol: (RatFn.const(1, 4), RatFn.const(0, 4)))
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--family", "k0", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_solve_characteristics(tmp_path):
@@ -169,6 +183,43 @@ def test_classify_metric_points(tmp_path, lccne_file):
     tags = {(v["part"], v["tag"]) for v in verdicts}
     assert tags == {("Wplus", "Zero"), ("Wminus", "TypeIII")} or \
         tags == {("Wplus", "TypeIII"), ("Wminus", "Zero")}
+
+
+def test_readme_build_then_classify(tmp_path, monkeypatch, capsys):
+    """The README sequence: a build output file is a valid classify input."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["solve", "--family", "lccne", "--K", "1", "--out", "lccne.json"]) == 0
+    assert run(["build", "--input", "lccne.json", "--out", "metric.json"]) == 0
+    (tmp_path / "pts.json").write_text('[["0","0","1","1"]]\n')
+    capsys.readouterr()
+    assert run(["classify", "--input", "metric.json", "--points", "pts.json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)
+    assert sorted(v["tag"] for v in verdicts) == ["TypeIII", "Zero"]
+
+
+@pytest.fixture()
+def classify_args(tmp_path, lccne_file):
+    metric = tmp_path / "metric.json"
+    assert run(["build", "--input", lccne_file, "--out", str(metric)]) == 0
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([["0", "0", "1", "1"]]))
+    return {"input": str(metric), "points": str(pts)}
+
+
+@pytest.mark.parametrize("which", ["input", "points"])
+def test_classify_missing_file_exit2(tmp_path, classify_args, which):
+    classify_args[which] = str(tmp_path / "absent.json")
+    assert run(["classify", "--input", classify_args["input"],
+                "--points", classify_args["points"]]) == 2
+
+
+@pytest.mark.parametrize("which", ["input", "points"])
+def test_classify_invalid_json_exit2(tmp_path, classify_args, which):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    classify_args[which] = str(bad)
+    assert run(["classify", "--input", classify_args["input"],
+                "--points", classify_args["points"]]) == 2
 
 
 def test_classify_flat_metric_all_zero(tmp_path):

@@ -1,13 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from petrov3.builder import SolutionData
+from petrov3.builder import SolutionData, canonical_frame_field
 from petrov3.exactfield import Poly, RatFn
 from petrov3.pdesolve import lccne_generate
 from petrov3.tensorcalc import ChartMetric
-from petrov3.verify import (VerificationBundle, curvature_model,
-                            nonhomogeneity_witness, run_suite, selfdual_orientation,
+from petrov3.verify import (VerificationBundle, curvature_model, frame_components,
+                            frame_tables, nonhomogeneity_witness, run_suite, selfdual_orientation,
                             verify_curvature_homogeneity, verify_curvature_identity,
                             verify_einstein, verify_einstein_metric,
                             verify_nonwalker, verify_selfdual_typeIII)
@@ -33,6 +34,18 @@ def perturbed_solution():
                         lambda_aa=sol.lambda_aa, mu_cc=sol.mu_cc, mu_ca=sol.mu_ca,
                         mu_aa=sol.mu_aa, omega_cq=sol.omega_cq, omega_aq=sol.omega_aq,
                         r_override=Fraction(0))
+
+
+def nonzero_K_and_q_solution():
+    """A solution with K != 0, q != 0 and a y-dependent derived r."""
+    K, alpha = Fraction(2), Fraction(3)
+    y1, y2 = Poly.var(0, 4), Poly.var(1, 4)
+    return SolutionData(K=K,
+                        lambda_cc=Poly.const(1, 4) - y1,
+                        lambda_ca=Poly.const(-K * alpha, 4) * y2 + y1 * y1,
+                        lambda_aa=y1,
+                        mu_cc=ZERO, mu_ca=ZERO, mu_aa=ZERO,
+                        omega_cq=Poly.const(-alpha, 4), omega_aq=ZERO)
 
 
 # -- einstein ---------------------------------------------------------------------------------
@@ -175,6 +188,69 @@ def test_curvature_homogeneity_passes(bundle_k1):
     rep = verify_curvature_homogeneity(bundle_k1)
     assert rep.status == "pass"
     assert rep.details["curvatureComponents"]
+    assert rep.points_sampled == 0          # exact check, no point evaluated
+
+
+def _frame_curv_all_slots(R, fr, a, b, c, d):
+    """Reference: R(e_a, e_b, e_c, e_d) summed over all four slots at once."""
+    s = RatFn.const(0, 4)
+    for i in range(4):
+        if fr[a][i].is_zero():
+            continue
+        for j in range(4):
+            if fr[b][j].is_zero():
+                continue
+            for k in range(4):
+                if fr[c][k].is_zero():
+                    continue
+                for l in range(4):
+                    if fr[d][l].is_zero():
+                        continue
+                    s = s + fr[a][i] * fr[b][j] * fr[c][k] * fr[d][l] * R[i][j][k][l]
+    return s
+
+
+@pytest.mark.parametrize("make_sol", [lambda: lccne_generate(1, 1), nonzero_K_and_q_solution],
+                         ids=["lccne_K1", "nonzero_K_and_q"])
+def test_frame_components_match_all_slots_reference(make_sol):
+    bundle = VerificationBundle.build(make_sol())
+    fr = canonical_frame_field(bundle.sol, bundle.ds)
+    R = bundle.curvature.riemann
+    _, table = frame_tables(bundle)
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                for d in range(4):
+                    want = _frame_curv_all_slots(R, fr, a, b, c, d)
+                    got = table[a][b][c][d]
+                    assert (got.num, got.den) == (want.num, want.den), (a, b, c, d)
+
+
+def test_frame_components_slot_order():
+    """A frame of scaled coordinate vectors exposes any slot permutation."""
+    R = [[[[RatFn.const(1 + i + 4 * j + 16 * k + 64 * l, 4) for l in range(4)]
+            for k in range(4)] for j in range(4)] for i in range(4)]
+    fr = [[RatFn.const(a + 2 if i == a else 0, 4) for i in range(4)] for a in range(4)]
+    T = frame_components(R, fr)
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                for d in range(4):
+                    want = (a + 2) * (b + 2) * (c + 2) * (d + 2) * R[a][b][c][d]
+                    assert T[a][b][c][d] == want
+
+
+def test_curvature_homogeneity_detects_nonconstant_component(bundle_k1):
+    R = [[[list(row) for row in mat] for mat in blk] for blk in bundle_k1.curvature.riemann]
+    bump = RatFn.var(0) * RatFn.var(3)
+    for (i, j, k, l), sign in (((0, 1, 0, 1), 1), ((1, 0, 0, 1), -1),
+                               ((0, 1, 1, 0), -1), ((1, 0, 1, 0), 1)):
+        R[i][j][k][l] = R[i][j][k][l] + sign * bump
+    bad = replace(bundle_k1, curvature=replace(bundle_k1.curvature, riemann=R))
+    rep = verify_curvature_homogeneity(bad)
+    assert rep.status == "fail"
+    assert "not constant" in rep.residual_max
+    assert rep.residual_max.startswith("R[")
 
 
 def test_same_K_instances_share_curvature_model(bundle_k1):
@@ -247,14 +323,7 @@ def test_full_suite_nonzero_K_and_q():
     """A solution with K != 0, q != 0 and a y-dependent derived r."""
     from petrov3.builder import derived_scalars
 
-    K, alpha = Fraction(2), Fraction(3)
-    y1, y2 = Poly.var(0, 4), Poly.var(1, 4)
-    sol = SolutionData(K=K,
-                       lambda_cc=Poly.const(1, 4) - y1,
-                       lambda_ca=Poly.const(-K * alpha, 4) * y2 + y1 * y1,
-                       lambda_aa=y1,
-                       mu_cc=ZERO, mu_ca=ZERO, mu_aa=ZERO,
-                       omega_cq=Poly.const(-alpha, 4), omega_aq=ZERO)
+    sol = nonzero_K_and_q_solution()
     ds = derived_scalars(sol)
     assert not ds.r.is_constant()
     reports = run_suite(sol)
