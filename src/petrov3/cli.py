@@ -11,7 +11,7 @@ invariant  the local invariant and its non-homogeneity witness
 
 Exit codes: 0 ok, 1 verification failure, 2 malformed input / pole points,
 3 solution-consistency failure, 4 solver geometry failure (tangent initial
-curve, gauge zero crossing).
+curve, gauge zero crossing, fan fold-over, non-finite fan).
 """
 
 from __future__ import annotations
@@ -112,19 +112,33 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _term_list_arg(text: str | None, nvars: int) -> Poly | None:
+    return Poly.from_json(json.loads(text), nvars=nvars) if text else None
+
+
+# what malformed JSON term lists and numbers raise while they are parsed
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
 def cmd_solve(args) -> int:
     if args.family == "lccne":
-        paa = Poly.from_json(json.loads(args.paa), nvars=1) if args.paa else None
-        pac = Poly.from_json(json.loads(args.pac), nvars=1) if args.pac else None
-        sol = pdesolve.lccne_generate(_parse_fraction(args.K or "1"),
-                                      _parse_fraction(args.const0 or "1"), paa, pac)
-        _dump(args.out, sol.to_json())
+        try:
+            paa, pac = _term_list_arg(args.paa, 1), _term_list_arg(args.pac, 1)
+            K, const0 = _parse_fraction(args.K or "1"), _parse_fraction(args.const0 or "1")
+        except _MALFORMED as exc:
+            print(f"error: malformed input: {exc!r}", file=sys.stderr)
+            return 2
+        _dump(args.out, pdesolve.lccne_generate(K, const0, paa, pac).to_json())
         return 0
     if args.family == "k0":
-        chi = Poly.from_json(json.loads(args.chi), nvars=4) if args.chi else Poly({}, 4)
         conn = pdesolve.connection_normal_form("III")
         a = (RatFn.const(0, 4), RatFn.const(1, 4))
-        _, sol = pdesolve.k0_solve(conn, a, chi)
+        try:
+            chi = _term_list_arg(args.chi, 4) or Poly({}, 4)
+            _, sol = pdesolve.k0_solve(conn, a, chi)    # ValueError if chi depends on the fibre
+        except _MALFORMED as exc:
+            print(f"error: malformed input: {exc!r}", file=sys.stderr)
+            return 2
         r1, r2 = pdesolve.residual_eqn(sol)
         if not (r1.is_zero() and r2.is_zero()):
             print("error: k0 solution fails the residual equations", file=sys.stderr)
@@ -135,12 +149,12 @@ def cmd_solve(args) -> int:
         try:
             data = _load_json(args.pde)
             pde = QuasiLinearPDE.from_json(data)
-            ic = InitialCurve.from_json(data["initialCurve"], extent=float(data.get("extent", args.extent)))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            step = float(data.get("step", args.step))
+            extent = float(data.get("extent", args.extent))
+            ic = InitialCurve.from_json(data["initialCurve"], extent=extent)
+        except (OSError, *_MALFORMED) as exc:
             print(f"error: malformed input: {exc}", file=sys.stderr)
             return 2
-        step = float(data.get("step", args.step))
-        extent = float(data.get("extent", args.extent))
         try:
             fan = pdesolve.characteristics_solve(pde, ic, step=step, extent=extent)
         except (TangentInitialCurve, ZeroCrossing, CharacteristicCrossing) as exc:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 Scalar = Union[int, Fraction]
 
 #: Chart coordinate names, in index order.
@@ -228,6 +230,30 @@ class Poly:
                     term *= v ** e
             total += term
         return total
+
+    def float_fn(self):
+        """Compile the float path of `eval` once: returns ``f(*coords)``.
+
+        The coordinates may be floats or numpy arrays (which broadcast); ``f``
+        repeats `eval`'s float arithmetic op for op -- ``float(c)``, then
+        ``*= v ** e`` in variable order, summed in term order -- so at float
+        points it returns the same bits.  A constant polynomial returns a scalar.
+        """
+        nvars = self.nvars
+        terms = [(float(c), tuple((i, e) for i, e in enumerate(expo) if e))
+                 for expo, c in self.terms.items()]
+
+        def fn(*coords):
+            if len(coords) != nvars:
+                raise ValueError("point has wrong dimension")
+            total = 0.0
+            for c, mono in terms:
+                term = c
+                for i, e in mono:
+                    term *= coords[i] ** e
+                total += term
+            return total
+        return fn
 
     # -- normalization helpers -----------------------------------------------
 
@@ -470,6 +496,26 @@ class RatFn:
         if d == 0:
             raise PoleAtPoint(f"denominator vanishes at {tuple(coords)}")
         return self.num.eval(coords) / d
+
+    def float_fn(self):
+        """Compile the float path of `eval` once: returns ``f(*coords)``.
+
+        Takes float or numpy-array coordinates, like `Poly.float_fn`, and
+        raises PoleAtPoint if the denominator vanishes at any requested point.
+        """
+        num = self.num.float_fn()
+        if self.den.is_constant():          # nonzero: no pole to look for
+            d = float(self.den.constant_value())
+            return lambda *coords: num(*coords) / d
+        den = self.den.float_fn()
+
+        def fn(*coords):
+            d = den(*coords)
+            pole = d == 0
+            if pole.any() if isinstance(pole, np.ndarray) else pole:
+                raise PoleAtPoint(f"denominator vanishes at {coords}")
+            return num(*coords) / d
+        return fn
 
     def sqrt(self) -> "RatFn":
         """Exact square root; ValueError if num or den is not a perfect square."""

@@ -21,6 +21,7 @@ import numpy as np
 
 from .exactfield import Poly, RatFn, X2, Y1, Y2
 from .builder import NV, SolutionData, second_eqn_residual, fibre_forms
+from .tensorcalc import fd4
 
 Vec2 = Tuple[RatFn, RatFn]
 
@@ -31,6 +32,10 @@ class TangentInitialCurve(ValueError):
 
 class CharacteristicCrossing(RuntimeError):
     """Fold-over detected in the characteristic fan."""
+
+
+class NonFiniteFan(CharacteristicCrossing):
+    """The characteristic fan reached a non-finite value (blow-up within the extent)."""
 
 
 class ZeroCrossing(ArithmeticError):
@@ -257,10 +262,12 @@ def brd_eigen_diagnostics(conn: PlaneConnection, sp: SectionPair, K: Fraction, c
 
 @dataclass
 class CallableConnection:
-    """Connection with numeric component callables (y1, y2) -> float.
+    """Connection with numeric component callables (y1, y2) -> value.
 
     Used for normal forms involving exponentials; mirrors the exact
-    `PlaneConnection` interface pointwise.
+    `PlaneConnection` interface pointwise.  The component callables receive
+    floats or numpy arrays of coordinates and may return scalars (constant
+    components), which broadcast.
     """
 
     a1: List[List[Callable]]
@@ -272,29 +279,10 @@ class CallableConnection:
         return A1, A2
 
     def curvature_at(self, y1: float, y2: float, h: float = 1e-4) -> np.ndarray:
-        def A1f(u, v):
-            return self.matrices(u, v)[0]
-
-        def A2f(u, v):
-            return self.matrices(u, v)[1]
-
-        dA1 = _fd_matrix(lambda u, v: A1f(u, v), y1, y2, 1, h)
-        dA2 = _fd_matrix(lambda u, v: A2f(u, v), y1, y2, 0, h)
+        dA1 = fd4(lambda k: self.matrices(y1, y2 + k * h)[0], h)
+        dA2 = fd4(lambda k: self.matrices(y1 + k * h, y2)[1], h)
         A1, A2 = self.matrices(y1, y2)
         return dA1 - dA2 + A2 @ A1 - A1 @ A2
-
-
-_FD4 = ((-2, 1.0 / 12), (-1, -2.0 / 3), (1, 2.0 / 3), (2, -1.0 / 12))
-
-
-def _fd_matrix(fn, y1, y2, axis, h):
-    total = np.zeros((2, 2))
-    for off, w in _FD4:
-        if axis == 0:
-            total += w * fn(y1 + off * h, y2)
-        else:
-            total += w * fn(y1, y2 + off * h)
-    return total / h
 
 
 def connection_normal_form(case: str, psi=None, chi=None, p=None):
@@ -351,19 +339,19 @@ def connection_normal_form(case: str, psi=None, chi=None, p=None):
 
     # numeric with genuine exponentials
     def ev(poly: Poly):
-        return lambda y1, y2: float(poly.eval((y1, y2, 0.0, 0.0)))
+        f = poly.float_fn()
+        return lambda y1, y2: f(y1, y2, 0.0, 0.0)
 
     def ev1(poly: Poly):
-        return lambda y1: float(poly.eval((y1, 0.0, 0.0, 0.0)))
-
-    import math
+        f = poly.float_fn()
+        return lambda y1: f(y1, 0.0, 0.0, 0.0)
 
     chi_f, psi_f, p_f = ev(chi), ev(psi), ev1(p)
     chi1 = ev(chi.diff(Y1))
     chi2 = ev(chi.diff(Y2))
     psi1 = ev(psi.diff(Y1))
     zero_f = lambda y1, y2: 0.0
-    e2chi = lambda y1, y2: math.exp(2 * chi_f(y1, y2))
+    e2chi = lambda y1, y2: np.exp(2 * chi_f(y1, y2))
     # common first line
     g1_12 = e2chi
     g2_22 = chi2
@@ -373,11 +361,11 @@ def connection_normal_form(case: str, psi=None, chi=None, p=None):
         g1_11 = psi1
         g2_12 = lambda y1, y2: -psi1(y1, y2)
         g2_11 = zero_f
-        g2_21 = lambda y1, y2: math.exp(2 * psi_f(y1, y2))
+        g2_21 = lambda y1, y2: np.exp(2 * psi_f(y1, y2))
     elif case == "Ib":
         g1_11 = psi_f
         g2_12 = lambda y1, y2: -psi_f(y1, y2)
-        g2_11 = lambda y1, y2: p_f(y1) * math.exp(-2 * chi_f(y1, y2))
+        g2_11 = lambda y1, y2: p_f(y1) * np.exp(-2 * chi_f(y1, y2))
         g2_21 = zero_f
     else:  # Ic
         g1_11 = lambda y1, y2: p_f(y1) - chi1(y1, y2)
@@ -476,7 +464,11 @@ def _fdt_nonzero(conn, R0, y1, y2, tol: float = 1e-10) -> bool:
 
 @dataclass
 class QuasiLinearPDE:
-    """rho z_1 + sigma z_2 = chi with coefficients functions of (y1, y2, z)."""
+    """rho z_1 + sigma z_2 = chi with coefficients functions of (y1, y2, z).
+
+    The coefficient callables receive numpy arrays (all curve samples at once)
+    as well as floats, and may return scalars, which broadcast.
+    """
 
     rho: Callable
     sigma: Callable
@@ -484,9 +476,7 @@ class QuasiLinearPDE:
 
     @classmethod
     def from_polys(cls, rho: Poly, sigma: Poly, chi: Poly) -> "QuasiLinearPDE":
-        def ev(p: Poly):
-            return lambda y1, y2, z: float(p.eval((y1, y2, z)))
-        return cls(ev(rho), ev(sigma), ev(chi))
+        return cls(rho.float_fn(), sigma.float_fn(), chi.float_fn())
 
     @classmethod
     def from_json(cls, data: dict) -> "QuasiLinearPDE":
@@ -499,7 +489,8 @@ class InitialCurve:
     """Axis-aligned initial curve {axis = offset} with data z along it.
 
     ``axis`` names the frozen coordinate ("y1" or "y2"); the other coordinate
-    parametrizes the curve.  ``values`` is a callable s -> z(s).
+    parametrizes the curve.  ``values`` is a callable s -> z(s); the solver
+    calls it once per curve sample with a float, so it may branch on s.
     """
 
     axis: str
@@ -517,12 +508,12 @@ class InitialCurve:
             fn = lambda s: float(np.interp(s, ss, vals))
         return cls(axis=data["axis"], offset=float(data.get("offset", 0.0)), values=fn)
 
+    def __post_init__(self):
+        if self.axis not in ("y1", "y2"):
+            raise ValueError(f"unknown axis {self.axis!r}")
+
     def point(self, s: float) -> Tuple[float, float]:
-        if self.axis == "y1":
-            return self.offset, s
-        if self.axis == "y2":
-            return s, self.offset
-        raise ValueError(f"unknown axis {self.axis!r}")
+        return (self.offset, s) if self.axis == "y1" else (s, self.offset)
 
 
 @dataclass
@@ -537,97 +528,93 @@ class CharacteristicFan:
     pde: QuasiLinearPDE
 
     def max_residual(self) -> float:
-        """max |rho z_1 + sigma z_2 - chi| on interior nodes, via chain-rule FD."""
-        dt = self.t[1] - self.t[0]
-        dsp = self.s[1] - self.s[0]
-        y1t, y1s = _grad4(self.y1, dt, dsp)
-        y2t, y2s = _grad4(self.y2, dt, dsp)
-        zt, zs = _grad4(self.z, dt, dsp)
-        det = y1t * y2s - y1s * y2t
-        worst = 0.0
-        n, m = self.z.shape
-        for i in range(2, n - 2):
-            for j in range(2, m - 2):
-                if abs(det[i, j]) < 1e-12:
-                    continue
-                z1 = (zt[i, j] * y2s[i, j] - zs[i, j] * y2t[i, j]) / det[i, j]
-                z2 = (-zt[i, j] * y1s[i, j] + zs[i, j] * y1t[i, j]) / det[i, j]
-                r = (self.pde.rho(self.y1[i, j], self.y2[i, j], self.z[i, j]) * z1
-                     + self.pde.sigma(self.y1[i, j], self.y2[i, j], self.z[i, j]) * z2
-                     - self.pde.chi(self.y1[i, j], self.y2[i, j], self.z[i, j]))
-                worst = max(worst, abs(r))
-        return worst
+        """max |rho z_1 + sigma z_2 - chi| on interior nodes, via chain-rule FD; NaN propagates."""
+        y1, y2, z, z1, z2 = _interior_chain_rule(self)
+        r = self.pde.rho(y1, y2, z) * z1 + self.pde.sigma(y1, y2, z) * z2 - self.pde.chi(y1, y2, z)
+        return float(np.max(np.abs(r), initial=0.0))
 
     def max_error(self, exact: Callable) -> float:
-        err = 0.0
-        n, m = self.z.shape
-        for i in range(n):
-            for j in range(m):
-                err = max(err, abs(self.z[i, j] - exact(self.y1[i, j], self.y2[i, j])))
-        return err
+        """max |z - exact(y1, y2)| over the fan; ``exact`` receives the node arrays."""
+        return float(np.max(np.abs(self.z - exact(self.y1, self.y2))))
 
     def to_json(self) -> dict:
         return {"t": self.t.tolist(), "s": self.s.tolist(),
                 "y1": self.y1.tolist(), "y2": self.y2.tolist(), "z": self.z.tolist()}
 
 
-def _grad4(F: np.ndarray, dt: float, ds: float):
-    """Fourth-order central gradients in the interior (second order at edges)."""
-    Ft = np.gradient(F, dt, axis=0, edge_order=2)
-    Fs = np.gradient(F, ds, axis=1, edge_order=2)
-    c1, c2 = 2.0 / 3, -1.0 / 12
-    Ft[2:-2, :] = (c1 * (F[3:-1, :] - F[1:-3, :]) + c2 * (F[4:, :] - F[:-4, :])) / dt
-    Fs[:, 2:-2] = (c1 * (F[:, 3:-1] - F[:, 1:-3]) + c2 * (F[:, 4:] - F[:, :-4])) / ds
-    return Ft, Fs
+def _interior_chain_rule(fan: CharacteristicFan):
+    """(y1, y2, z, z_1, z_2) on the interior fan nodes, as flat arrays.
+
+    z_1, z_2 come from fourth-order (t, s) gradients through the chain rule.
+    Nodes whose Jacobian determinant is below 1e-12 in size are left out; NaN
+    nodes are kept, so that a residual taken over them is NaN.
+    """
+    n, m = fan.z.shape
+    if min(n, m) < 5:
+        return (np.empty(0),) * 5
+    dt, ds = fan.t[1] - fan.t[0], fan.s[1] - fan.s[0]
+
+    def grad(F):
+        return (fd4(lambda k: F[2 + k:n - 2 + k, 2:-2], dt),
+                fd4(lambda k: F[2:-2, 2 + k:m - 2 + k], ds))
+
+    y1t, y1s = grad(fan.y1)
+    y2t, y2s = grad(fan.y2)
+    zt, zs = grad(fan.z)
+    det = y1t * y2s - y1s * y2t
+    keep = ~(np.abs(det) < 1e-12)
+    y1t, y1s, y2t, y2s, zt, zs, det = (a[keep] for a in (y1t, y1s, y2t, y2s, zt, zs, det))
+    z1 = (zt * y2s - zs * y2t) / det
+    z2 = (-zt * y1s + zs * y1t) / det
+    return (fan.y1[2:-2, 2:-2][keep], fan.y2[2:-2, 2:-2][keep], fan.z[2:-2, 2:-2][keep],
+            z1, z2)
 
 
 def characteristics_solve(pde: QuasiLinearPDE, ic: InitialCurve, step: float = 1e-3,
                           extent: float = 0.5, nsamples: int = 41) -> CharacteristicFan:
     """Integrate the characteristic field (rho, sigma, chi) from the initial curve.
 
-    Classical fixed-step RK4 in both time directions; transversality checked
-    at the curve, fold-over detected by loss of monotonicity of the
-    along-curve coordinate across samples.
+    Classical fixed-step RK4 in both time directions, all curve samples
+    stepped together as one array state; transversality checked at the
+    curve, fold-over detected by loss of monotonicity of the along-curve
+    coordinate across samples, blow-up by a non-finite node (NonFiniteFan).
     """
     ss = np.linspace(-extent, extent, nsamples)
     nt = max(2, int(round(extent / step)))
     ts = np.concatenate([np.arange(-nt, 0), np.arange(0, nt + 1)]) * step
 
-    starts = []
-    for s in ss:
-        y1, y2 = ic.point(s)
-        z0 = ic.values(s)
-        rho = pde.rho(y1, y2, z0)
-        sigma = pde.sigma(y1, y2, z0)
-        trans = rho if ic.axis == "y1" else sigma
-        if abs(trans) < 1e-12:
-            raise TangentInitialCurve(
-                f"characteristic field tangent to the initial curve at s={s}")
-        starts.append((y1, y2, z0))
-
     def field(state):
         y1, y2, z = state
-        return np.array([pde.rho(y1, y2, z), pde.sigma(y1, y2, z), pde.chi(y1, y2, z)])
+        return np.array([np.broadcast_to(f(y1, y2, z), z.shape)
+                         for f in (pde.rho, pde.sigma, pde.chi)])
 
-    y1g = np.zeros((len(ts), nsamples))
-    y2g = np.zeros_like(y1g)
-    zg = np.zeros_like(y1g)
     i0 = nt
-    for j, st in enumerate(starts):
-        y1g[i0, j], y2g[i0, j], zg[i0, j] = st
-    for direction in (+1, -1):
-        rng = range(i0 + 1, len(ts)) if direction > 0 else range(i0 - 1, -1, -1)
-        for i in rng:
-            prev = i - direction
-            h = (ts[i] - ts[prev])
-            for j in range(nsamples):
-                state = np.array([y1g[prev, j], y2g[prev, j], zg[prev, j]])
+    grid = np.zeros((3, len(ts), nsamples))        # (y1, y2, z) x time step x sample
+    grid[:, i0] = np.array([(*ic.point(s), ic.values(s)) for s in ss], dtype=float).T
+    trans = field(grid[:, i0])[0 if ic.axis == "y1" else 1]
+    tangent = np.flatnonzero(np.abs(trans) < 1e-12)
+    if tangent.size:
+        raise TangentInitialCurve(
+            f"characteristic field tangent to the initial curve at s={ss[tangent[0]]}")
+
+    with np.errstate(all="ignore"):             # a blow-up is reported below
+        for direction in (+1, -1):
+            rng = range(i0 + 1, len(ts)) if direction > 0 else range(i0 - 1, -1, -1)
+            for i in rng:
+                prev = i - direction
+                h = (ts[i] - ts[prev])
+                state = grid[:, prev]
                 k1 = field(state)
                 k2 = field(state + 0.5 * h * k1)
                 k3 = field(state + 0.5 * h * k2)
                 k4 = field(state + h * k3)
-                y1g[i, j], y2g[i, j], zg[i, j] = state + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                grid[:, i] = state + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    bad = np.count_nonzero(~np.isfinite(grid).all(axis=0))
+    if bad:
+        raise NonFiniteFan(f"characteristic fan has {bad} non-finite nodes "
+                           "(the solution blows up within the extent)")
 
+    y1g, y2g, zg = grid
     along = y2g if ic.axis == "y1" else y1g
     diffs = np.diff(along, axis=1)
     sgn0 = np.sign(diffs[i0, :])
@@ -639,6 +626,39 @@ def characteristics_solve(pde: QuasiLinearPDE, ic: InitialCurve, step: float = 1
 # -- gauge fixing --------------------------------------------------------------------------
 
 
+def _gauge_coeffs(conn, sp: SectionPair):
+    """Omega(c, cov1 c), Omega(c, cov1 cov1 c), Omega(c, cov2 q), Omega(c, q) as callables.
+
+    Each takes float or array coordinates (y1, y2).  For a `PlaneConnection`
+    the four rational functions are formed exactly and compiled once; for a
+    `CallableConnection` the sections ``sp.c``/``sp.q`` are callables
+    (y1, y2) -> 2-vector and covariant derivatives use central differences.
+    """
+    c, q = sp.c, sp.q
+    if isinstance(conn, PlaneConnection):
+        d1c = conn.cov(1, c)
+        fns = [omega_pair(c, v).float_fn() for v in (d1c, conn.cov(1, d1c), conn.cov(2, q), q)]
+        return [lambda y1, y2, f=f: f(y1, y2, 0.0, 0.0) for f in fns]
+    d1c = _callable_cov(conn, 1, c)
+    vs = (d1c, _callable_cov(conn, 1, d1c), _callable_cov(conn, 2, q), q)
+    return [lambda y1, y2, v=v: omega_pair(c(y1, y2), v(y1, y2)) for v in vs]
+
+
+def _callable_cov(conn: CallableConnection, j: int, vfn: Callable, h: float = 1e-4) -> Callable:
+    """(y1, y2) -> cov_j v for a callable section, 2x2 products written out to broadcast."""
+    A = conn.a1 if j == 1 else conn.a2
+
+    def cov(y1, y2):
+        if j == 1:
+            up, dn = vfn(y1 + h, y2), vfn(y1 - h, y2)
+        else:
+            up, dn = vfn(y1, y2 + h), vfn(y1, y2 - h)
+        v = vfn(y1, y2)
+        return tuple((up[i] - dn[i]) / (2 * h) + A[i][0](y1, y2) * v[0] + A[i][1](y1, y2) * v[1]
+                     for i in range(2))
+    return cov
+
+
 def gauge_pde(conn, sp: SectionPair) -> QuasiLinearPDE:
     """The quasi-linear equation selecting the gauge z with (zc, z^-1 q) normalized.
 
@@ -646,58 +666,11 @@ def gauge_pde(conn, sp: SectionPair) -> QuasiLinearPDE:
         Omega(c, cov1 c) z^2 z_1 + Omega(c, q) z_2
           = [1 + 2 Omega(c, cov2 q) - Omega(c, cov1 cov1 c) z^2] z / 2.
     """
-    if isinstance(conn, PlaneConnection):
-        c, q = sp.c, sp.q
-        d1c = conn.cov(1, c)
-        d11c = conn.cov(1, d1c)
-        d2q = conn.cov(2, q)
-        om_c_d1c = omega_pair(c, d1c)
-        om_c_d11c = omega_pair(c, d11c)
-        om_c_d2q = omega_pair(c, d2q)
-        om_cq = omega_pair(c, q)
-
-        def ev(f: RatFn):
-            return lambda y1, y2: float(f.eval((y1, y2, 0.0, 0.0)))
-        a_f, b_f, d_f, s_f = ev(om_c_d1c), ev(om_c_d11c), ev(om_c_d2q), ev(om_cq)
-    else:
-        a_f, b_f, d_f, s_f = _callable_gauge_coeffs(conn, sp)
-
+    a_f, b_f, d_f, s_f = _gauge_coeffs(conn, sp)
     rho = lambda y1, y2, z: a_f(y1, y2) * z * z
     sigma = lambda y1, y2, z: s_f(y1, y2)
     chi = lambda y1, y2, z: (1 + 2 * d_f(y1, y2) - b_f(y1, y2) * z * z) * z / 2
     return QuasiLinearPDE(rho=rho, sigma=sigma, chi=chi)
-
-
-def _callable_gauge_coeffs(conn: CallableConnection, sp: SectionPair):
-    """Gauge coefficients for a numeric connection and callable section pair."""
-    c_fn, q_fn = sp.c, sp.q
-    h = 1e-4
-
-    def cov(j, vfn, y1, y2):
-        A = conn.matrices(y1, y2)[j - 1]
-        if j == 1:
-            dv = (np.asarray(vfn(y1 + h, y2)) - np.asarray(vfn(y1 - h, y2))) / (2 * h)
-        else:
-            dv = (np.asarray(vfn(y1, y2 + h)) - np.asarray(vfn(y1, y2 - h))) / (2 * h)
-        return dv + A @ np.asarray(vfn(y1, y2))
-
-    def om(u, v):
-        return u[1] * v[0] - u[0] * v[1]
-
-    def a_f(y1, y2):
-        return om(c_fn(y1, y2), cov(1, c_fn, y1, y2))
-
-    def b_f(y1, y2):
-        d1c = lambda u, v: cov(1, c_fn, u, v)
-        return om(c_fn(y1, y2), cov(1, d1c, y1, y2))
-
-    def d_f(y1, y2):
-        return om(c_fn(y1, y2), cov(2, q_fn, y1, y2))
-
-    def s_f(y1, y2):
-        return om(c_fn(y1, y2), q_fn(y1, y2))
-
-    return a_f, b_f, d_f, s_f
 
 
 @dataclass
@@ -735,39 +708,12 @@ def _gauged_brd2_residual(conn, sp: SectionPair, fan: CharacteristicFan) -> floa
     """max |Omega(zc, cov1 cov1 (zc) - 2 cov2 (q/z)) - 1| on interior fan nodes.
 
     Only first derivatives of z enter (the z_11 term is killed by Omega(c, c)),
-    so the fan's chain-rule gradients suffice.
+    so the fan's chain-rule gradients suffice.  NaN propagates.
     """
-    if isinstance(conn, PlaneConnection):
-        c, q = sp.c, sp.q
-        d1c = conn.cov(1, c)
-        d11c = conn.cov(1, d1c)
-        d2q = conn.cov(2, q)
-        a_f = lambda y1, y2: float(omega_pair(c, d1c).eval((y1, y2, 0.0, 0.0)))
-        b_f = lambda y1, y2: float(omega_pair(c, d11c).eval((y1, y2, 0.0, 0.0)))
-        d_f = lambda y1, y2: float(omega_pair(c, d2q).eval((y1, y2, 0.0, 0.0)))
-        s_f = lambda y1, y2: float(omega_pair(c, q).eval((y1, y2, 0.0, 0.0)))
-    else:
-        a_f, b_f, d_f, s_f = _callable_gauge_coeffs(conn, sp)
-
-    dt = fan.t[1] - fan.t[0]
-    dsp = fan.s[1] - fan.s[0]
-    y1t, y1s = _grad4(fan.y1, dt, dsp)
-    y2t, y2s = _grad4(fan.y2, dt, dsp)
-    zt, zs = _grad4(fan.z, dt, dsp)
-    det = y1t * y2s - y1s * y2t
-    worst = 0.0
-    n, m = fan.z.shape
-    for i in range(2, n - 2):
-        for j in range(2, m - 2):
-            if abs(det[i, j]) < 1e-12:
-                continue
-            z1 = (zt[i, j] * y2s[i, j] - zs[i, j] * y2t[i, j]) / det[i, j]
-            z2 = (-zt[i, j] * y1s[i, j] + zs[i, j] * y1t[i, j]) / det[i, j]
-            y1v, y2v, zv = fan.y1[i, j], fan.y2[i, j], fan.z[i, j]
-            lhs = (2 * zv * z1 * a_f(y1v, y2v) + zv * zv * b_f(y1v, y2v)
-                   + 2 * z2 * s_f(y1v, y2v) / zv - 2 * d_f(y1v, y2v))
-            worst = max(worst, abs(lhs - 1.0))
-    return worst
+    y1, y2, z, z1, z2 = _interior_chain_rule(fan)
+    a, b, d, s = (f(y1, y2) for f in _gauge_coeffs(conn, sp))
+    lhs = 2 * z * z1 * a + z * z * b + 2 * z2 * s / z - 2 * d
+    return float(np.max(np.abs(lhs - 1.0), initial=0.0))
 
 
 # -- special solution branches --------------------------------------------------------------
@@ -811,9 +757,8 @@ def flat_case_solve(rho_profile: Poly | None = None, extent: float = 1.0,
     # residual via the closed form (rho^2 sigma_1)_1 with sigma_1 known exactly
     f = rho_v ** 2 * sigma1
     h = ys[1] - ys[0]
-    df = np.gradient(f, h, edge_order=2)
-    df[2:-2] = (2.0 / 3 * (f[3:-1] - f[1:-3]) - 1.0 / 12 * (f[4:] - f[:-4])) / h
-    res = float(np.abs(df[2:-2] - 1.0).max())
+    df = fd4(lambda k: f[2 + k:n - 2 + k], h)
+    res = float(np.abs(df - 1.0).max())
     return FlatCaseSolution(rho=rho_fn, sigma=sigma_fn, max_residual=res)
 
 

@@ -14,7 +14,7 @@ against finite differences:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Sequence
 
@@ -42,6 +42,7 @@ class ChartMetric:
 
     g: Matrix
     orientation: int = 1
+    _float: List | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in range(DIM):
@@ -55,8 +56,10 @@ class ChartMetric:
         return self.g[a][b]
 
     def eval(self, coords: Sequence) -> np.ndarray:
-        return np.array([[float(self.g[a][b].eval(coords)) for b in range(DIM)]
-                         for a in range(DIM)])
+        """The metric at a float point, as `RatFn.eval` gives it (entries compiled once)."""
+        if self._float is None:
+            self._float = [[self.g[a][b].float_fn() for b in range(DIM)] for a in range(DIM)]
+        return np.array([[float(f(*coords)) for f in row] for row in self._float])
 
     def with_orientation(self, orientation: int) -> "ChartMetric":
         return ChartMetric(self.g, orientation)
@@ -333,33 +336,31 @@ def first_bianchi_residuals(R: List) -> list:
 
 # -- numeric mirror ------------------------------------------------------------------
 
-_FD4_1 = ((-2, Fraction(1, 12)), (-1, Fraction(-2, 3)), (1, Fraction(2, 3)), (2, Fraction(-1, 12)))
+
+def fd4(at: Callable[[int], np.ndarray], h: float):
+    """Fourth-order central first derivative from samples ``at(k)`` = f(x + k h), k = +-1, +-2.
+
+    The one stencil of the numeric mirror: ``at`` may return scalars, arrays of
+    values at one point, or shifted slices of a sampled grid.
+    """
+    return (2.0 / 3 * (at(1) - at(-1)) - 1.0 / 12 * (at(2) - at(-2))) / h
 
 
 def _fd_partial(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, i: int, h: float):
-    """Fourth-order central difference of a matrix-valued function."""
-    total = None
-    for off, w in _FD4_1:
+    """Fourth-order central difference of a matrix-valued function along coordinate i."""
+    def at(k):
         xp = x.copy()
-        xp[i] += off * h
-        val = float(w) * fn(xp)
-        total = val if total is None else total + val
-    return total / h
+        xp[i] += k * h
+        return fn(xp)
+    return fd4(at, h)
 
 
 def numeric_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-2):
-    g = metric_fn(x)
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(metric_fn(x))
     dg = np.stack([_fd_partial(metric_fn, x, i, h) for i in range(DIM)])  # dg[c][a][b]
-    gamma = np.zeros((DIM, DIM, DIM))
-    for a in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                s = 0.0
-                for d in range(DIM):
-                    s += ginv[a, d] * (dg[b][d][c] + dg[c][d][b] - dg[d][b][c])
-                gamma[a, b, c] = 0.5 * s
-    return gamma
+    # lower[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
+    lower = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return 0.5 * np.einsum("ad,dbc->abc", ginv, lower)
 
 
 def numeric_riemann(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-2):
@@ -371,16 +372,10 @@ def numeric_riemann(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
     g = metric_fn(x)
     gamma = gamma_fn(x)
     dgamma = np.stack([_fd_partial(gamma_fn, x, i, h) for i in range(DIM)])  # d[k][a][b][c]
-    R = np.zeros((DIM, DIM, DIM, DIM))
-    for j in range(DIM):
-        for k in range(DIM):
-            for l in range(DIM):
-                rop = dgamma[k][:, j, l] - dgamma[j][:, k, l]
-                for n in range(DIM):
-                    rop = rop + gamma[n, j, l] * gamma[:, k, n] - gamma[n, k, l] * gamma[:, j, n]
-                for p in range(DIM):
-                    R[j, k, l, p] = rop @ g[:, p]
-    return R
+    # Rop^m_{jkl} = S^m_{jkl} - S^m_{kjl} with S^m_{jkl} = d_k Gamma^m_{jl} + Gamma^n_{jl} Gamma^m_{kn}
+    S = np.einsum("kmjl->mjkl", dgamma) + np.einsum("njl,mkn->mjkl", gamma, gamma)
+    rop = S - S.transpose(0, 2, 1, 3)
+    return np.einsum("mjkl,mp->jklp", rop, g)
 
 
 def numeric_ricci_scalar(metric_fn, x, h: float = 1e-2):

@@ -169,6 +169,56 @@ def test_solve_tangent_curve_exit4(tmp_path):
     assert run(["solve", "--method", "characteristics", "--pde", str(pfile)]) == 4
 
 
+def test_solve_blow_up_exit4(tmp_path, capsys):
+    """z_1 = z^2 from z = 10 blows up at y1 = 0.1: exit 4, no fan with non-finite nodes."""
+    pde = {
+        "rho": [{"e": [0, 0, 0], "c": "1"}],
+        "sigma": [],
+        "chi": [{"e": [0, 0, 2], "c": "1"}],
+        "initialCurve": {"axis": "y1", "offset": 0, "poly": [{"e": [0], "c": "10"}]},
+        "step": 1e-3,
+        "extent": 0.3,
+    }
+    pfile = tmp_path / "pde.json"
+    pfile.write_text(json.dumps(pde))
+    out = tmp_path / "fan.json"
+    assert run(["solve", "--method", "characteristics", "--pde", str(pfile),
+                "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "error: characteristic fan has 8118 non-finite nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "lccne", "--paa", "{bad"],
+    ["--family", "lccne", "--pac", '{"e": [1]}'],
+    ["--family", "lccne", "--paa", '[{"e": [1, 0], "c": "1"}]'],
+    ["--family", "lccne", "--paa", '[{"e": [1], "c": "x"}]'],
+    ["--family", "lccne", "--K", "1/0"],
+    ["--family", "k0", "--chi", "{bad"],
+    ["--family", "k0", "--chi", '[{"e": [0, 1]}]'],
+    ["--family", "k0", "--chi", '[{"e": [0, 0, 1, 0], "c": "1"}]'],
+])
+def test_solve_family_malformed_option_exit2(tmp_path, capsys, argv):
+    out = tmp_path / "sol.json"
+    assert run(["solve", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: malformed input")
+
+
+@pytest.mark.parametrize("pde", [
+    {"rho": "abc", "sigma": [], "chi": [], "initialCurve": {"axis": "y1", "poly": []}},
+    {"rho": [], "sigma": [{"e": [0, 0, 0], "c": "1"}], "chi": [],
+     "initialCurve": {"axis": "y3", "poly": []}},
+    {"rho": [], "sigma": [], "chi": [], "step": "small", "initialCurve": {"axis": "y1", "poly": []}},
+    [1, 2],
+])
+def test_solve_malformed_pde_exit2(tmp_path, capsys, pde):
+    pfile = tmp_path / "pde.json"
+    pfile.write_text(json.dumps(pde))
+    assert run(["solve", "--method", "characteristics", "--pde", str(pfile)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed input")
+
+
 def test_classify_metric_points(tmp_path, lccne_file):
     mfile = tmp_path / "m.json"
     run(["build", "--input", lccne_file, "--out", str(mfile)])

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,58 @@ def test_diff_matches_finite_differences():
         assert abs(fd - exact) / scale < 1e-6
         checked += 1
     assert checked == 100
+
+
+floats = st.floats(min_value=-3, max_value=3, allow_nan=False)
+float_points = st.tuples(floats, floats, floats, st.floats(min_value=0.25, max_value=3))
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), float_points)
+def test_poly_float_fn_is_eval_float_path(p, pt):
+    assert _same_bits(p.float_fn()(*pt), p.eval(pt))
+    npt = np.array(pt)                       # numpy scalar coordinates, as in the mirror
+    assert _same_bits(p.float_fn()(*npt), p.eval(npt))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratfns(), float_points)
+def test_ratfn_float_fn_is_eval_float_path(f, pt):
+    try:
+        want = f.eval(pt)
+    except PoleAtPoint:
+        with pytest.raises(PoleAtPoint):
+            f.float_fn()(*pt)
+        return
+    assert _same_bits(f.float_fn()(*pt), want)
+
+
+def test_float_fn_on_arrays_matches_points():
+    f = (X1 * X1 * X2 + Y1 * X2 - 3) / (X2 * X2 + 1)
+    rng = np.random.default_rng(2)
+    cols = [rng.uniform(-2, 2, 50), rng.uniform(-2, 2, 50), rng.uniform(-2, 2, 50),
+            rng.uniform(0.5, 2, 50)]
+    got = f.float_fn()(*cols)
+    want = np.array([f.eval(pt) for pt in zip(*cols)])
+    assert got.shape == (50,)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # scalar coordinates broadcast against arrays; a constant gives a scalar
+    assert f.float_fn()(0.5, 0.5, cols[2], 1.0).shape == (50,)
+    assert RatFn.const(Fraction(3, 2)).float_fn()(*cols) == 1.5
+
+
+def test_ratfn_float_fn_pole_in_array():
+    f = Y1 / (X2 - 1)
+    fn = f.float_fn()
+    assert fn(0.5, 0.0, 0.0, 2.0) == 0.5
+    with pytest.raises(PoleAtPoint):
+        fn(np.array([0.5, 1.0]), 0.0, 0.0, np.array([2.0, 1.0]))
+    with pytest.raises(PoleAtPoint):
+        fn(0.5, 0.0, 0.0, 1.0)
 
 
 # -- serialization ------------------------------------------------------------------------

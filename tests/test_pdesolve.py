@@ -8,9 +8,10 @@ import pytest
 from petrov3.builder import SolutionData, derived_scalars
 from petrov3.exactfield import Poly, RatFn
 from petrov3.pdesolve import (CallableConnection, CharacteristicCrossing,
-                              InitialCurve, PlaneConnection, QuasiLinearPDE,
+                              CharacteristicFan, InitialCurve, NonFiniteFan,
+                              PlaneConnection, QuasiLinearPDE,
                               SectionPair, TangentInitialCurve, UnknownCase,
-                              ZeroCrossing, brd_eigen_diagnostics,
+                              ZeroCrossing, _gauged_brd2_residual, brd_eigen_diagnostics,
                               characteristics_solve, classify_connection,
                               connection_normal_form, flat_case_solve,
                               from_connection_pair, gauge_fix, gauge_pde,
@@ -337,6 +338,77 @@ def test_pde_json_roundtrip():
     assert fan.max_error(lambda y1, y2: (y1 - y2) ** 2) <= 1e-6
 
 
+def scalar_rk4_fan(pde, ic, step, extent, nsamples):
+    """Reference: the per-sample scalar RK4 loop the array stepper replaced."""
+    ss = np.linspace(-extent, extent, nsamples)
+    nt = max(2, int(round(extent / step)))
+    ts = np.concatenate([np.arange(-nt, 0), np.arange(0, nt + 1)]) * step
+
+    def field(state):
+        y1, y2, z = state
+        return np.array([pde.rho(y1, y2, z), pde.sigma(y1, y2, z), pde.chi(y1, y2, z)])
+
+    grid = np.zeros((3, len(ts), nsamples))
+    for j, s in enumerate(ss):
+        grid[:, nt, j] = (*ic.point(s), ic.values(s))
+    for direction in (+1, -1):
+        rng = range(nt + 1, len(ts)) if direction > 0 else range(nt - 1, -1, -1)
+        for i in rng:
+            prev = i - direction
+            h = ts[i] - ts[prev]
+            for j in range(nsamples):
+                state = grid[:, prev, j].copy()
+                k1 = field(state)
+                k2 = field(state + 0.5 * h * k1)
+                k3 = field(state + 0.5 * h * k2)
+                k4 = field(state + h * k3)
+                grid[:, i, j] = state + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return grid
+
+
+@pytest.mark.parametrize("case", ["gauge_ia", "manufactured_quadratic"])
+def test_array_fan_matches_scalar_rk4(case):
+    if case == "gauge_ia":
+        pde = gauge_pde(connection_normal_form("Ia"), SectionPair(c=(ZF, ONE), q=(-ONE, ZF)))
+        ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: 1.0)
+        step, extent, n = 1e-2, 0.3, 21
+    else:
+        pde = QuasiLinearPDE(rho=lambda *a: 1.0, sigma=lambda *a: 1.0, chi=lambda *a: 0.0)
+        ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: s * s)
+        step, extent, n = 1e-3, 0.3, 15
+    fan = characteristics_solve(pde, ic, step=step, extent=extent, nsamples=n)
+    ref = scalar_rk4_fan(pde, ic, step, extent, n)
+    for got, want in zip((fan.y1, fan.y2, fan.z), ref):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_blow_up_raises_non_finite_fan():
+    """z_1 = z^2 from z = 10 blows up at y1 = 0.1, inside the extent."""
+    pde = QuasiLinearPDE(rho=lambda *a: 1.0, sigma=lambda *a: 0.0,
+                         chi=lambda y1, y2, z: z * z)
+    ic = InitialCurve(axis="y1", offset=0.0, values=lambda s: 10.0)
+    with pytest.raises(NonFiniteFan):
+        characteristics_solve(pde, ic, step=1e-2, extent=0.3, nsamples=9)
+    fan = characteristics_solve(pde, ic, step=1e-2, extent=0.05, nsamples=9)
+    assert np.isfinite(fan.z).all()
+
+
+def test_residuals_propagate_nan():
+    conn = connection_normal_form("Ia")
+    sp = SectionPair(c=(ZF, ONE), q=(-ONE, ZF))
+    ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: 1.0)
+    fan = characteristics_solve(gauge_pde(conn, sp), ic, step=1e-2, extent=0.2, nsamples=9)
+    assert fan.max_residual() <= 1e-8
+    assert _gauged_brd2_residual(conn, sp, fan) <= 1e-8
+    for name in ("z", "y1"):            # a NaN position also makes the Jacobian NaN
+        arrays = {"y1": fan.y1.copy(), "y2": fan.y2, "z": fan.z.copy()}
+        arrays[name][len(fan.t) // 2, 4] = np.nan
+        bad = CharacteristicFan(t=fan.t, s=fan.s, pde=fan.pde, **arrays)
+        assert np.isnan(bad.max_residual())
+        assert np.isnan(_gauged_brd2_residual(conn, sp, bad))
+        assert np.isnan(bad.max_error(lambda y1, y2: y1 - y2))
+
+
 # -- gauge fixing -----------------------------------------------------------------------------
 
 
@@ -352,6 +424,16 @@ def test_gauge_fix_reduces_brd2(gauged_ia):
     conn, sp, ic = gauged_ia
     gp = gauge_fix(conn, sp, ic, step=1e-3, extent=0.3, nsamples=21)
     assert gp.brd2_max_residual <= 1e-6
+
+
+def test_gauge_fix_callable_connection():
+    """Case Ia with a genuine exponential slot, sections given as callables."""
+    conn = connection_normal_form("Ia", chi=Poly({(0, 1, 0, 0): Fraction(1, 4)}, 4))
+    assert isinstance(conn, CallableConnection)
+    sp = SectionPair(c=lambda y1, y2: (0.0, 1.0), q=lambda y1, y2: (-1.0, 0.0))
+    ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: 1.0)
+    gp = gauge_fix(conn, sp, ic, step=1e-2, extent=0.2, nsamples=9)
+    assert gp.brd2_max_residual <= 1e-8
 
 
 def test_gauge_trivial_when_already_normalized():

@@ -10,8 +10,9 @@ from petrov3.pdesolve import lccne_generate
 from petrov3.tensorcalc import (ChartMetric, NotEinstein, SingularMetric,
                                 christoffel, curvature_symmetry_residuals,
                                 first_bianchi_residuals, kulkarni_gg, metric_det,
-                                metric_inverse, nabla_g_residual, numeric_riemann,
-                                numeric_ricci_scalar, riemann, weyl, zero_matrix)
+                                metric_inverse, nabla_g_residual, numeric_christoffel,
+                                numeric_riemann, numeric_ricci_scalar, riemann, weyl,
+                                zero_matrix, _fd_partial)
 
 DIM = 4
 
@@ -200,6 +201,49 @@ def test_exact_matches_finite_difference_riemann(lccne_bits):
                     for p in range(DIM):
                         ex = float(curv.riemann[j][k][l][p].eval(pt))
                         assert abs(ex - Rn[j, k, l, p]) / scale < 1e-6
+
+
+def loop_numeric_riemann(metric_fn, x, h):
+    """Reference: the index loops that the einsum contractions replaced (same stencil)."""
+    def gamma_fn(pt):
+        ginv = np.linalg.inv(metric_fn(pt))
+        dg = np.stack([_fd_partial(metric_fn, pt, i, h) for i in range(DIM)])
+        gamma = np.zeros((DIM, DIM, DIM))
+        for a in range(DIM):
+            for b in range(DIM):
+                for c in range(DIM):
+                    s = 0.0
+                    for d in range(DIM):
+                        s += ginv[a, d] * (dg[b][d][c] + dg[c][d][b] - dg[d][b][c])
+                    gamma[a, b, c] = 0.5 * s
+        return gamma
+
+    g = metric_fn(x)
+    gamma = gamma_fn(x)
+    dgamma = np.stack([_fd_partial(gamma_fn, x, i, h) for i in range(DIM)])
+    R = np.zeros((DIM, DIM, DIM, DIM))
+    for j in range(DIM):
+        for k in range(DIM):
+            for l in range(DIM):
+                rop = dgamma[k][:, j, l] - dgamma[j][:, k, l]
+                for n in range(DIM):
+                    rop = rop + gamma[n, j, l] * gamma[:, k, n] - gamma[n, k, l] * gamma[:, j, n]
+                for p in range(DIM):
+                    R[j, k, l, p] = rop @ g[:, p]
+    return R, gamma
+
+
+def test_einsum_mirror_matches_index_loops(lccne_bits):
+    _, m, _, _, _ = lccne_bits
+    rng = random.Random(11)
+    for _ in range(3):
+        pt = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
+                       rng.uniform(-1, 1), rng.uniform(0.8, 1.8)])
+        R_ref, gamma_ref = loop_numeric_riemann(m.eval, pt, 5e-3)
+        gamma = numeric_christoffel(m.eval, pt, 5e-3)
+        assert np.abs(gamma - gamma_ref).max() <= 1e-14 * np.abs(gamma_ref).max()
+        R = numeric_riemann(m.eval, pt, h=5e-3)
+        assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
 
 
 # -- weyl and kulkarni-nomizu -------------------------------------------------------------
