@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .exactfield import Poly, RatFn, X1, X2, Y1, Y2
-from .tensorcalc import ChartMetric, ChristoffelField, DIM, christoffel, metric_inverse, zero_matrix
+from .tensorcalc import ChartMetric, ChristoffelField, DIM, zero_matrix
 
 NV = 4
 
@@ -28,10 +28,6 @@ COMPONENT_NAMES = ("lambda_cc", "lambda_ca", "lambda_aa",
 
 class EqnResidualNonzero(ValueError):
     """Input fails the base-plane consistency equation; r cannot be derived."""
-
-
-class FrameDegenerate(ArithmeticError):
-    """A candidate frame failed its nondegeneracy requirement."""
 
 
 def _rf(p: Poly) -> RatFn:
@@ -231,7 +227,7 @@ def _vertical_from_X_c(coef_X: RatFn, coef_c: RatFn) -> List[RatFn]:
     return [coef_X * x1 + coef_c, coef_X * x2]
 
 
-def f_operator(sol: SolutionData, ds: DerivedScalars | None = None) -> FOperator:
+def f_operator(sol: SolutionData, ds: DerivedScalars) -> FOperator:
     """All five summands of F applied to the coordinate base fields.
 
     For w with (xi(w), tau(w)) = (xw, tw):
@@ -242,8 +238,6 @@ def f_operator(sol: SolutionData, ds: DerivedScalars | None = None) -> FOperator
       f zeta w   = -2 f phi^-2 Y_w
     with Y_w = xi(w) X + tau(w) c.
     """
-    if ds is None:
-        ds = derived_scalars(sol)
     ff = fibre_forms(sol)
     phi = ds.phi
     K = RatFn.const(sol.K, NV)
@@ -283,10 +277,8 @@ def f_apply(op: FOperator, vec: List[RatFn]) -> List[RatFn]:
     return [vec[0] * op.total[0][i] + vec[1] * op.total[1][i] for i in range(2)]
 
 
-def f_on_wbar(sol: SolutionData, ds: DerivedScalars | None = None,
-              parts: bool = False):
+def f_on_wbar(op: FOperator, parts: bool = False):
     """F applied to wbar = phi^-1 d_y2 (and per-part values if requested)."""
-    op = f_operator(sol, ds)
     phi = phi_ratfn()
     total = [op.total[1][0] / phi, op.total[1][1] / phi]
     if not parts:
@@ -350,7 +342,7 @@ class OctupleForms:
     ubar: List[RatFn]         # vertical section with h(ubar, .) = beta; phi^-3 c
 
 
-def octuple_fields(sol: SolutionData) -> OctupleForms:
+def octuple_fields() -> OctupleForms:
     phi = phi_ratfn()
     zero = RatFn.const(0, NV)
     one = RatFn.const(1, NV)
@@ -379,8 +371,7 @@ class FrameField:
         return [self.w1, self.w2, self.c, self.a]
 
 
-def htilde_frame(sol: SolutionData, ds: DerivedScalars | None = None) -> FrameField:
-    op = f_operator(sol, ds)
+def htilde_frame(op: FOperator) -> FrameField:
     zero = RatFn.const(0, NV)
     one = RatFn.const(1, NV)
     w1 = [one, zero, op.total[0][0], op.total[0][1]]
@@ -414,7 +405,7 @@ def form_pair(omega: List[List[RatFn]], u: List[RatFn], v: List[RatFn]) -> RatFn
     return s
 
 
-def eta_theta_extension(sol: SolutionData, ds: DerivedScalars | None = None):
+def eta_theta_extension(ds: DerivedScalars, op: FOperator):
     """Full chart matrices of eta and theta adapted to the deformed frame.
 
     eta: +1 eigenspace the verticals, -1 eigenspace the deformed horizontals,
@@ -422,9 +413,6 @@ def eta_theta_extension(sol: SolutionData, ds: DerivedScalars | None = None):
     horizontal-horizontal slot, which is how r enters downstream identities.
     theta: phi^2 Omega on verticals, extended by zero on the deformed frame.
     """
-    if ds is None:
-        ds = derived_scalars(sol)
-    op = f_operator(sol, ds)
     phi = ds.phi
     x1 = RatFn.var(X1, NV)
     zero = RatFn.const(0, NV)
@@ -462,8 +450,8 @@ def eta_theta_extension(sol: SolutionData, ds: DerivedScalars | None = None):
     return eta, theta
 
 
-def zeta_matrix(sol: SolutionData) -> List[List[RatFn]]:
-    return octuple_fields(sol).zeta
+def zeta_matrix() -> List[List[RatFn]]:
+    return octuple_fields().zeta
 
 
 def raise_second_index(omega: List[List[RatFn]], ginv) -> List[List[RatFn]]:
@@ -496,10 +484,8 @@ def invariant_gamma_u(sol: SolutionData) -> RatFn:
     return RatFn.const(sol.K, NV) + (ff.lam_cc - 2 * ff.mu_cX) / (phi * phi)
 
 
-def gamma_closed_form(sol: SolutionData, ds: DerivedScalars | None = None) -> Dict[str, RatFn]:
+def gamma_closed_form(sol: SolutionData, ds: DerivedScalars) -> Dict[str, RatFn]:
     """4 gamma~(v) = (E + K phi^2/2) Omega(X, v) - (L + 4 r phi^2) Omega(v, c), v in {c, a}."""
-    if ds is None:
-        ds = derived_scalars(sol)
     phi = ds.phi
     K = RatFn.const(sol.K, NV)
     x1 = RatFn.var(X1, NV)
@@ -511,20 +497,14 @@ def gamma_closed_form(sol: SolutionData, ds: DerivedScalars | None = None) -> Di
     return {"c": g_c, "a": g_a}
 
 
-def gamma_via_connection(sol: SolutionData, ds: DerivedScalars | None = None,
-                         gam: ChristoffelField | None = None) -> Dict[str, RatFn]:
+def gamma_via_connection(m: ChartMetric, gam: ChristoffelField,
+                         frame: FrameField) -> Dict[str, RatFn]:
     """gamma~ on the verticals, extracted from covariant derivatives of the frame.
 
     gamma~(v) = -g(nabla_v w~_1, w~_2) / zeta(w~_1, w~_2), with
     zeta(w~_1, w~_2) = zeta(d_1, d_2) = 2/phi.
     """
-    if ds is None:
-        ds = derived_scalars(sol)
-    m = assemble_metric(sol)
-    if gam is None:
-        gam = christoffel(m)
-    frame = htilde_frame(sol, ds)
-    zeta_12 = 2 / ds.phi
+    zeta_12 = 2 / phi_ratfn()
     out = {}
     for name, vidx in (("c", 2), ("a", 3)):
         nabla = _covariant_derivative_along_coordinate(frame.w1, vidx, gam)
@@ -533,10 +513,9 @@ def gamma_via_connection(sol: SolutionData, ds: DerivedScalars | None = None,
     return out
 
 
-def gamma_u_via_connection(sol: SolutionData, ds: DerivedScalars | None = None,
-                           gam: ChristoffelField | None = None) -> RatFn:
+def gamma_u_via_connection(m: ChartMetric, gam: ChristoffelField, frame: FrameField) -> RatFn:
     """gamma~(ubar) from the Christoffel route; ubar = phi^-3 c."""
-    g = gamma_via_connection(sol, ds, gam)
+    g = gamma_via_connection(m, gam, frame)
     phi = phi_ratfn()
     return g["c"] / phi ** 3
 
@@ -552,23 +531,16 @@ def _covariant_derivative_along_coordinate(vec: List[RatFn], direction: int,
     return out
 
 
-def gamma_extended(sol: SolutionData, ds: DerivedScalars | None = None,
-                   gam: ChristoffelField | None = None) -> List[RatFn]:
+def gamma_extended(m: ChartMetric, gam: ChristoffelField, frame: FrameField) -> List[RatFn]:
     """The full 1-form gamma~ in coordinate components.
 
     On verticals it is the value extracted from covariant derivatives of the
     deformed frame; on the frame directions gamma~(w~_j) comes from the same
     defining relation, and the coordinate components follow from
-    d_j = w~_j - F d_j.
+    d_j = w~_j - F d_j, F d_j being the vertical part of w~_j.
     """
-    if ds is None:
-        ds = derived_scalars(sol)
-    m = assemble_metric(sol)
-    if gam is None:
-        gam = christoffel(m)
-    frame = htilde_frame(sol, ds)
-    zeta_12 = 2 / ds.phi
-    vert = gamma_via_connection(sol, ds, gam)
+    zeta_12 = 2 / phi_ratfn()
+    vert = gamma_via_connection(m, gam, frame)
 
     def gamma_of(vec: List[RatFn]) -> RatFn:
         nabla = _covariant_derivative_along(vec, frame.w1, gam)
@@ -576,34 +548,24 @@ def gamma_extended(sol: SolutionData, ds: DerivedScalars | None = None,
 
     out = [RatFn.const(0, NV)] * DIM
     out[2], out[3] = vert["c"], vert["a"]
-    op = f_operator(sol, ds)
     for j, w in ((0, frame.w1), (1, frame.w2)):
         gamma_w = gamma_of(w)
-        Fc, Fa = op.total[j]
+        Fc, Fa = w[2], w[3]
         out[j] = gamma_w - Fc * out[2] - Fa * out[3]
     return out
 
 
-def alpha_extended(sol: SolutionData, ds: DerivedScalars | None = None,
-                   gam: ChristoffelField | None = None) -> List[RatFn]:
+def alpha_extended(m: ChartMetric, ginv, gam: ChristoffelField,
+                   frame: FrameField) -> List[RatFn]:
     """The 1-form alpha extended off the verticals by alpha(w~) = 2 gamma~(zeta w~)."""
-    if ds is None:
-        ds = derived_scalars(sol)
-    m = assemble_metric(sol)
-    ginv = metric_inverse(m)
-    if gam is None:
-        gam = christoffel(m)
-    gamma1 = gamma_extended(sol, ds, gam)
-    frame = htilde_frame(sol, ds)
-    zsharp = raise_second_index(zeta_matrix(sol), ginv)
-    phi = ds.phi
+    gamma1 = gamma_extended(m, gam, frame)
+    zsharp = raise_second_index(zeta_matrix(), ginv)
     out = [RatFn.const(0, NV)] * DIM
-    out[3] = -1 / phi                        # alpha(a) = -d_a log phi
-    op = f_operator(sol, ds)
+    out[3] = -1 / phi_ratfn()                # alpha(a) = -d_a log phi
     for j, w in ((0, frame.w1), (1, frame.w2)):
         zw = apply_morphism(zsharp, w)       # vertical
         alpha_w = 2 * sum_form(gamma1, zw)
-        Fc, Fa = op.total[j]
+        Fc, Fa = w[2], w[3]
         out[j] = alpha_w - (Fc * out[2] + Fa * out[3])
     return out
 
@@ -632,20 +594,14 @@ def _covariant_derivative_along(direction: List[RatFn], vec: List[RatFn],
     return out
 
 
-def canonical_frame_field(sol: SolutionData, ds: DerivedScalars | None = None):
+def canonical_frame_field(ginv, frame: FrameField):
     """Global frame (w, w', v, v') realizing the constant component tables.
 
     w = w~_1, w' = (phi/2) w~_2 gives zeta(w, w') = 1; then v = -zeta w' and
     v' = zeta w via the index-raised morphism of the metric.
     """
-    if ds is None:
-        ds = derived_scalars(sol)
-    m = assemble_metric(sol)
-    ginv = metric_inverse(m)
-    frame = htilde_frame(sol, ds)
-    zeta = zeta_matrix(sol)
-    zsharp = raise_second_index(zeta, ginv)
-    phi = ds.phi
+    zsharp = raise_second_index(zeta_matrix(), ginv)
+    phi = phi_ratfn()
     w = frame.w1
     wp = [phi / 2 * comp for comp in frame.w2]
     v = [-comp for comp in apply_morphism(zsharp, wp)]

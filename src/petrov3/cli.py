@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import builder, duality, pdesolve, tensorcalc, verify as verify_mod
 from .builder import EqnResidualNonzero, SolutionData
 from .exactfield import PoleAtPoint, Point, Poly, RatFn, sample_points
-from .pdesolve import (CharacteristicCrossing, InitialCurve, QuasiLinearPDE,
+from .pdesolve import (CharacteristicCrossing, InitialCurve, InvalidFanGrid, QuasiLinearPDE,
                        TangentInitialCurve, ZeroCrossing)
 
 
@@ -157,6 +157,9 @@ def cmd_solve(args) -> int:
             return 2
         try:
             fan = pdesolve.characteristics_solve(pde, ic, step=step, extent=extent)
+        except InvalidFanGrid as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except (TangentInitialCurve, ZeroCrossing, CharacteristicCrossing) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
@@ -197,20 +200,14 @@ def cmd_classify(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
-    ginv = tensorcalc.metric_inverse(m)
-    curv = tensorcalc.riemann(tensorcalc.christoffel(m, ginv), m)
-    W4 = tensorcalc.weyl(curv, m, None, einstein_shortcut=False)
-    W2 = duality.curvature_on_forms(W4, ginv)
-    g2 = duality.inverse_gram_pairs(ginv)
+    ctx = verify_mod.VerificationBundle(None, m)
     verdicts = []
     try:
         for orient in (1, -1):
-            h = duality.hodge_star(m.with_orientation(orient), ginv)
-            Pp, _ = duality.sd_projectors(h)
-            Wp = duality.mat_mul(Pp, duality.mat_mul(W2, Pp))
+            Wp, Pp = ctx.weyl_part(orient)
             label = "Wplus" if orient == 1 else "Wminus"
             for p in pts:
-                endo = duality.weyl_endo_at_point(Wp, Pp, g2, p.coords)
+                endo = duality.weyl_endo_at_point(Wp, Pp, ctx.g2, p.coords)
                 v = duality.petrov_classify(endo)
                 verdicts.append({"part": label, **v.to_json(p.coords)})
     except PoleAtPoint as exc:
@@ -226,10 +223,9 @@ def cmd_invariant(args) -> int:
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
-    bundle = verify_mod.VerificationBundle.build(sol)
-    rep = verify_mod.nonhomogeneity_witness(bundle, seed=args.seed)
-    payload = {"invariant": builder.invariant_gamma_u(sol).to_json(),
-               "report": rep.to_json()}
+    ctx = verify_mod.VerificationBundle.build(sol)
+    rep = verify_mod.nonhomogeneity_witness(ctx, seed=args.seed)
+    payload = {"invariant": ctx.invariant.to_json(), "report": rep.to_json()}
     _dump(args.out, payload)
     return 0 if rep.status != "fail" else 1
 
@@ -256,21 +252,11 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--orientation", type=int, choices=(1, -1), default=None)
-        p.add_argument("--points", default=None, help="JSON file with point rows")
-        p.add_argument("--n-points", type=int, default=10)
-        p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--extent", type=float, default=0.4)
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="grid tolerance for sampled solver output")
-        p.add_argument("--zero-tol", type=float, default=1e-12,
-                       help="numeric-mode zero-detection threshold")
 
     p = sub.add_parser("build", help="assemble the metric from solution data")
     p.add_argument("--input", required=True)
     p.add_argument("--r-override", default=None)
+    p.add_argument("--orientation", type=int, choices=(1, -1), default=None)
     common(p)
     p.set_defaults(fn=cmd_build)
 
@@ -279,6 +265,8 @@ def main(argv=None) -> int:
     p.add_argument("--checks", default=None,
                    help="comma list from: " + ",".join(verify_mod.ALL_CHECKS))
     p.add_argument("--K", default=None, help="scalar-curvature constant for metric inputs")
+    p.add_argument("--orientation", type=int, choices=(1, -1), default=None)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -291,16 +279,25 @@ def main(argv=None) -> int:
     p.add_argument("--paa", default=None, help="JSON term list, polynomial in y1")
     p.add_argument("--pac", default=None, help="JSON term list, polynomial in y1")
     p.add_argument("--chi", default=None, help="JSON term list for the K=0 branch")
+    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--extent", type=float, default=0.4)
     common(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("classify", help="Petrov verdicts or connection trichotomy")
     p.add_argument("--input", required=True, help="metric.json or connection.json")
+    p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
+    p.add_argument("--zero-tol", type=float, default=1e-12,
+                   help="numeric-mode zero-detection threshold")
+    p.add_argument("--points", default=None, help="JSON file with point rows")
+    p.add_argument("--n-points", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("invariant", help="local invariant and witness")
     p.add_argument("--input", required=True)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_invariant)
 

@@ -110,15 +110,6 @@ def twoform_inner(m: ChartMetric, zeta: TwoFormField, eta: TwoFormField,
     return s
 
 
-def wedge_of_covectors(xi: Sequence, tau: Sequence, nvars: int = 4) -> TwoFormField:
-    zero = RatFn.const(0, nvars)
-    comp = [[zero for _ in range(DIM)] for _ in range(DIM)]
-    for a in range(DIM):
-        for b in range(DIM):
-            comp[a][b] = xi[a] * tau[b] - xi[b] * tau[a]
-    return TwoFormField(comp)
-
-
 @dataclass
 class HodgeOperator:
     """6x6 star matrix on the coordinate 2-form basis, plus the volume density."""
@@ -170,10 +161,6 @@ def mat_mul(A, B):
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_add(A, B, sign=1):
-    return [[A[i][j] + sign * B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
 
 
 def sd_projectors(h: HodgeOperator):

@@ -12,7 +12,6 @@ variable counts (base-plane data, one-variable profiles, PDE coefficients in
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Sequence, Union
@@ -97,9 +96,6 @@ class Poly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def leading_term(self) -> tuple:
         """(exponent, coefficient) of the graded-lex leading term."""
@@ -394,10 +390,6 @@ class RatFn:
     def var(cls, i: int, nvars: int = 4) -> "RatFn":
         return cls(Poly.var(i, nvars))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFn":
-        return cls(p)
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -568,10 +560,6 @@ def ratfn_arith(op: str, f: RatFn, g: RatFn) -> RatFn:
     raise ValueError(f"unknown op {op!r}")
 
 
-def ratfn_diff(f: RatFn, var: int) -> RatFn:
-    return f.diff(var)
-
-
 def ratfn_eval(f: RatFn, point: "Point") -> Union[Fraction, float]:
     return f.eval(point.coords)
 
@@ -593,9 +581,6 @@ class Point:
     @property
     def exact(self) -> bool:
         return all(isinstance(c, (int, Fraction)) for c in self.coords)
-
-    def as_floats(self) -> tuple:
-        return tuple(float(c) for c in self.coords)
 
     def __iter__(self):
         return iter(self.coords)
@@ -637,7 +622,3 @@ def sample_points(n: int, seed: int = 0, nvars: int = 4, x2_range=(Fraction(1, 2
             coords.append(val)
         pts.append(Point(coords))
     return pts
-
-
-def poly_json_dumps(p: Poly) -> str:
-    return json.dumps(p.to_json())

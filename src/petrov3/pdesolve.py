@@ -38,6 +38,13 @@ class NonFiniteFan(CharacteristicCrossing):
     """The characteristic fan reached a non-finite value (blow-up within the extent)."""
 
 
+class InvalidFanGrid(ValueError):
+    """Fan step or extent not finite and positive, or more than MAX_FAN_NODES fan nodes."""
+
+
+MAX_FAN_NODES = 1_000_000       # time steps x curve samples characteristics_solve allocates
+
+
 class ZeroCrossing(ArithmeticError):
     """Gauge function crossed zero."""
 
@@ -578,9 +585,17 @@ def characteristics_solve(pde: QuasiLinearPDE, ic: InitialCurve, step: float = 1
     stepped together as one array state; transversality checked at the
     curve, fold-over detected by loss of monotonicity of the along-curve
     coordinate across samples, blow-up by a non-finite node (NonFiniteFan).
+    A step or extent that is not finite and positive, or a fan of more than
+    MAX_FAN_NODES nodes, raises InvalidFanGrid before anything is allocated.
     """
+    if not (0 < step < np.inf and 0 < extent < np.inf):
+        raise InvalidFanGrid(f"step={step} and extent={extent} must be finite and positive")
+    steps = extent / step                     # inf when step underflows against extent
+    nt = max(2, int(round(steps))) if steps < MAX_FAN_NODES else MAX_FAN_NODES
+    if (2 * nt + 1) * nsamples > MAX_FAN_NODES:
+        raise InvalidFanGrid(f"step={step}, extent={extent} and {nsamples} samples give "
+                             f"a fan of more than {MAX_FAN_NODES} nodes")
     ss = np.linspace(-extent, extent, nsamples)
-    nt = max(2, int(round(extent / step)))
     ts = np.concatenate([np.arange(-nt, 0), np.arange(0, nt + 1)]) * step
 
     def field(state):

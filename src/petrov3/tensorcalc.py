@@ -79,19 +79,19 @@ class ChartMetric:
 
 @dataclass
 class ChristoffelField:
-    """Gamma[a][b][c] = Gamma^a_{bc}, symmetric in (b, c)."""
+    """Gamma[a][b][c] = Gamma^a_{bc}, symmetric in (b, c), with the inverse metric it used."""
 
     gamma: List[List[List[RatFn]]]
+    ginv: Matrix
 
 
 @dataclass
 class CurvatureSet:
-    """Riemann (all indices down), Ricci, scalar, and optionally Weyl."""
+    """Riemann (all indices down), Ricci and scalar."""
 
     riemann: List  # R[j][k][l][p]
     ricci: Matrix
     scalar: RatFn
-    weyl: List | None = None
 
 
 def zero_matrix(nvars: int = 4) -> Matrix:
@@ -160,7 +160,7 @@ def christoffel(m: ChartMetric, inv: Matrix | None = None) -> ChristoffelField:
                     s = s + inv[a][d] * lower[d]
                 gamma[a][b][c] = s
                 gamma[a][c][b] = s
-    return ChristoffelField(gamma)
+    return ChristoffelField(gamma, inv)
 
 
 def nabla_g_residual(m: ChartMetric, gam: ChristoffelField) -> List:
@@ -181,7 +181,10 @@ def nabla_g_residual(m: ChartMetric, gam: ChristoffelField) -> List:
 
 
 def riemann(gam: ChristoffelField, m: ChartMetric) -> CurvatureSet:
-    """All-indices-down curvature; Ricci and scalar via the frozen contraction."""
+    """All-indices-down curvature; Ricci and scalar via the frozen contraction.
+
+    The contraction uses the inverse metric stored on ``gam``.
+    """
     g = gam.gamma
     nv = m.g[0][0].nvars
     dgam = [[[[g[a][b][c].diff(d) for d in range(DIM)] for c in range(DIM)]
@@ -209,14 +212,12 @@ def riemann(gam: ChristoffelField, m: ChartMetric) -> CurvatureSet:
                         val = val + rop[mm][j][k][l] * m.g[mm][p]
                     R[j][k][l][p] = val
                     R[k][j][l][p] = -val
-    ric, scal = ricci_scalar_from_riemann(R, m)
+    ric, scal = ricci_scalar_from_riemann(R, gam.ginv)
     return CurvatureSet(riemann=R, ricci=ric, scalar=scal)
 
 
-def ricci_scalar_from_riemann(R: List, m: ChartMetric, inv: Matrix | None = None):
-    if inv is None:
-        inv = metric_inverse(m)
-    nv = m.g[0][0].nvars
+def ricci_scalar_from_riemann(R: List, inv: Matrix):
+    nv = inv[0][0].nvars
     ric = zero_matrix(nv)
     for k in range(DIM):
         for p in range(k, DIM):
@@ -231,10 +232,6 @@ def ricci_scalar_from_riemann(R: List, m: ChartMetric, inv: Matrix | None = None
         for p in range(DIM):
             scal = scal + inv[k][p] * ric[k][p]
     return ric, scal
-
-
-def ricci_scalar(curv: CurvatureSet, m: ChartMetric):
-    return curv.ricci, curv.scalar
 
 
 def kulkarni_gg(m: ChartMetric) -> List:

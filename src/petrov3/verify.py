@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional
 
 from . import builder, duality, tensorcalc
@@ -44,24 +45,95 @@ class CheckReport:
         return data
 
 
-@dataclass
 class VerificationBundle:
-    """Shared read-only data for the independent checks."""
+    """The geometry of one metric, shared by the checks; each object is computed
+    once, at first use.
 
-    sol: SolutionData
-    metric: ChartMetric
-    ginv: list
-    curvature: tensorcalc.CurvatureSet
-    ds: builder.DerivedScalars
+    `build` starts from solution data.  A bundle of a bare metric has sol and ds
+    None, so only its metric-side objects exist.  An inverse or a curvature
+    computed elsewhere may be handed in and is used as the cached value.
+    """
+
+    def __init__(self, sol: SolutionData | None, metric: ChartMetric, ginv=None,
+                 curvature: tensorcalc.CurvatureSet | None = None,
+                 ds: builder.DerivedScalars | None = None):
+        self.sol, self.metric, self.ds = sol, metric, ds
+        for name, value in (("ginv", ginv), ("curvature", curvature)):
+            if value is not None:
+                self.__dict__[name] = value        # where cached_property keeps its value
 
     @classmethod
     def build(cls, sol: SolutionData, orientation: int = 1) -> "VerificationBundle":
-        m = builder.assemble_metric(sol, orientation)
-        ginv = tensorcalc.metric_inverse(m)
-        gam = tensorcalc.christoffel(m, ginv)
-        curv = tensorcalc.riemann(gam, m)
-        ds = builder.derived_scalars(sol)
-        return cls(sol=sol, metric=m, ginv=ginv, curvature=curv, ds=ds)
+        """Raises EqnResidualNonzero at once for data that is not a solution."""
+        return cls(sol, builder.assemble_metric(sol, orientation), ds=builder.derived_scalars(sol))
+
+    @cached_property
+    def ginv(self):
+        return tensorcalc.metric_inverse(self.metric)
+
+    @cached_property
+    def gamma(self) -> tensorcalc.ChristoffelField:
+        return tensorcalc.christoffel(self.metric, self.ginv)
+
+    @cached_property
+    def curvature(self) -> tensorcalc.CurvatureSet:
+        return tensorcalc.riemann(self.gamma, self.metric)
+
+    @cached_property
+    def f_op(self) -> builder.FOperator:
+        return builder.f_operator(self.sol, self.ds)
+
+    @cached_property
+    def htilde_frame(self) -> builder.FrameField:
+        return builder.htilde_frame(self.f_op)
+
+    @cached_property
+    def canonical_frame(self):
+        return builder.canonical_frame_field(self.ginv, self.htilde_frame)
+
+    @cached_property
+    def zeta(self):
+        return builder.zeta_matrix()
+
+    @cached_property
+    def eta_theta(self):
+        return builder.eta_theta_extension(self.ds, self.f_op)
+
+    @cached_property
+    def invariant(self) -> RatFn:
+        return builder.invariant_gamma_u(self.sol)
+
+    @cached_property
+    def weyl_on_forms(self):
+        """W on 2-forms; W = R - K g^g when solution data is Einstein, else the
+        full Ricci decomposition (perturbed data, bare metrics)."""
+        curv, m = self.curvature, self.metric
+        if self.sol is not None:
+            try:
+                return duality.curvature_on_forms(tensorcalc.weyl(curv, m, self.sol.K), self.ginv)
+            except tensorcalc.NotEinstein:
+                pass
+        W4 = tensorcalc.weyl(curv, m, None, einstein_shortcut=False)
+        return duality.curvature_on_forms(W4, self.ginv)
+
+    @cached_property
+    def g2(self):
+        return duality.inverse_gram_pairs(self.ginv)
+
+    @cached_property
+    def sd_projectors(self):
+        """(P+, P-) of the one Hodge star, for the metric's own orientation."""
+        return duality.sd_projectors(duality.hodge_star(self.metric, self.ginv))
+
+    def projectors(self, orientation: int):
+        """(P+, P-) for `orientation`: the star changes sign with it, so they swap."""
+        Pp, Pm = self.sd_projectors
+        return (Pp, Pm) if orientation == self.metric.orientation else (Pm, Pp)
+
+    def weyl_part(self, orientation: int):
+        """(P+ W P+, P+) for `orientation`; W- of one orientation is W+ of the other."""
+        Pp, _ = self.projectors(orientation)
+        return duality.mat_mul(Pp, duality.mat_mul(self.weyl_on_forms, Pp)), Pp
 
 
 def _exact_report(name: str, residuals, **kw) -> CheckReport:
@@ -72,28 +144,26 @@ def _exact_report(name: str, residuals, **kw) -> CheckReport:
                        **kw)
 
 
+def _einstein_residuals(bundle: VerificationBundle, K: Fraction) -> list:
+    """Ric - 3K g on and above the diagonal, then scalar - 12K last."""
+    m, curv = bundle.metric, bundle.curvature
+    Kf = RatFn.const(K, 4)
+    residuals = [curv.ricci[a][b] - 3 * Kf * m.g[a][b] for a in range(DIM) for b in range(a, DIM)]
+    residuals.append(curv.scalar - 12 * Kf)
+    return residuals
+
+
 def verify_einstein(bundle: VerificationBundle) -> CheckReport:
     """Ric - 3K g == 0 and scalar - 12K == 0, component by component."""
-    m, curv = bundle.metric, bundle.curvature
-    K = RatFn.const(bundle.sol.K, 4)
-    residuals = []
-    for a in range(DIM):
-        for b in range(a, DIM):
-            residuals.append(curv.ricci[a][b] - 3 * K * m.g[a][b])
-    scalar_res = curv.scalar - 12 * K
-    rep = _exact_report("einstein", residuals + [scalar_res])
-    rep.details = {"scalarResidualZero": scalar_res.is_zero(), "K": str(bundle.sol.K)}
+    residuals = _einstein_residuals(bundle, bundle.sol.K)
+    rep = _exact_report("einstein", residuals)
+    rep.details = {"scalarResidualZero": residuals[-1].is_zero(), "K": str(bundle.sol.K)}
     return rep
 
 
 def verify_einstein_metric(m: ChartMetric, K: Fraction) -> CheckReport:
     """Einstein check for a standalone metric (no solution data needed)."""
-    ginv = tensorcalc.metric_inverse(m)
-    curv = tensorcalc.riemann(tensorcalc.christoffel(m, ginv), m)
-    Kf = RatFn.const(K, 4)
-    residuals = [curv.ricci[a][b] - 3 * Kf * m.g[a][b] for a in range(DIM) for b in range(a, DIM)]
-    residuals.append(curv.scalar - 12 * Kf)
-    return _exact_report("einstein", residuals)
+    return _exact_report("einstein", _einstein_residuals(VerificationBundle(None, m), K))
 
 
 def selfdual_orientation(bundle: VerificationBundle):
@@ -103,23 +173,14 @@ def selfdual_orientation(bundle: VerificationBundle):
     BothOrientationsFail when W != 0 but neither orientation works, and
     returns orientation None when W == 0 identically.
     """
-    m, ginv = bundle.metric, bundle.ginv
-    try:
-        W4 = tensorcalc.weyl(bundle.curvature, m, bundle.sol.K)
-    except tensorcalc.NotEinstein:
-        # perturbed inputs: fall back to the full Ricci decomposition
-        W4 = tensorcalc.weyl(bundle.curvature, m, None, einstein_shortcut=False)
-    W2 = duality.curvature_on_forms(W4, ginv)
+    W2 = bundle.weyl_on_forms
     if duality.matrix_is_zero(W2):
         return None, None, W2, None, None
-    g2 = duality.inverse_gram_pairs(ginv)
+    parts = {orient: bundle.weyl_part(orient) for orient in (1, -1)}
     for orient in (1, -1):
-        h = duality.hodge_star(m.with_orientation(orient), ginv)
-        Pp, Pm = duality.sd_projectors(h)
-        Wm = duality.mat_mul(Pm, duality.mat_mul(W2, Pm))
-        if duality.matrix_is_zero(Wm):
-            Wp = duality.mat_mul(Pp, duality.mat_mul(W2, Pp))
-            return orient, Wp, W2, Pp, g2
+        if duality.matrix_is_zero(parts[-orient][0]):
+            Wp, Pp = parts[orient]
+            return orient, Wp, W2, Pp, bundle.g2
     raise BothOrientationsFail("anti-self-dual Weyl part nonzero for both orientations")
 
 
@@ -168,9 +229,9 @@ def verify_curvature_identity(bundle: VerificationBundle, zeta=None, eta=None) -
     R = bundle.curvature.riemann
     K = RatFn.const(bundle.sol.K, 4)
     if zeta is None:
-        zeta = builder.zeta_matrix(bundle.sol)
+        zeta = bundle.zeta
     if eta is None:
-        eta, _ = builder.eta_theta_extension(bundle.sol, bundle.ds)
+        eta, _ = bundle.eta_theta
     gg = tensorcalc.kulkarni_gg(m)
     residuals = []
     for j in range(DIM):
@@ -197,10 +258,8 @@ def frame_tables(bundle: VerificationBundle):
     distribution; for a metric of the construction every entry is a constant
     rational function, which is the curvature-homogeneity statement.
     """
-    sol, ds, m = bundle.sol, bundle.ds, bundle.metric
-    fr = builder.canonical_frame_field(sol, ds)
-    zeta = builder.zeta_matrix(sol)
-    eta, theta = builder.eta_theta_extension(sol, ds)
+    m, fr, zeta = bundle.metric, bundle.canonical_frame, bundle.zeta
+    eta, theta = bundle.eta_theta
     tables = {
         "g": [[builder.metric_pair(m, fr[a], fr[b]) for b in range(4)] for a in range(4)],
         "zeta": [[builder.form_pair(zeta, fr[a], fr[b]) for b in range(4)] for a in range(4)],
@@ -288,7 +347,7 @@ def verify_nonwalker(bundle: VerificationBundle, n_points: int = 5, seed: int = 
     Symbolic certificate: beta(d_1) * phi^2 == 1 identically, and the other
     three components vanish; numeric sampling confirms |beta(d_1)| > 0.
     """
-    oct_forms = builder.octuple_fields(bundle.sol)
+    oct_forms = builder.octuple_fields()
     phi = builder.phi_ratfn()
     beta = oct_forms.beta
     cert = (beta[0] * phi * phi - 1).is_zero() and all(beta[i].is_zero() for i in (1, 2, 3))
@@ -310,9 +369,8 @@ def nonhomogeneity_witness(bundle: VerificationBundle, n_points: int = 5,
     against the Christoffel-based extraction.  A constant invariant proves
     nothing and yields an indeterminate report.
     """
-    sol, ds = bundle.sol, bundle.ds
-    inv = builder.invariant_gamma_u(sol)
-    chr_inv = 4 * builder.gamma_u_via_connection(sol, ds)
+    inv = bundle.invariant
+    chr_inv = 4 * builder.gamma_u_via_connection(bundle.metric, bundle.gamma, bundle.htilde_frame)
     agree = (inv - chr_inv).is_zero()
     pts = sample_points(n_points, seed=seed)
     agree_pts = all(inv.eval(p.coords) == chr_inv.eval(p.coords) for p in pts)

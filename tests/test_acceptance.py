@@ -120,7 +120,7 @@ def test_criterion_5_nonwalker_and_f_r_independence(bundles):
 def test_criterion_6_witness(bundles):
     bundle, _ = bundles[1]
     inv = builder.invariant_gamma_u(bundle.sol)
-    via_conn = 4 * builder.gamma_u_via_connection(bundle.sol, bundle.ds)
+    via_conn = 4 * builder.gamma_u_via_connection(bundle.metric, bundle.gamma, bundle.htilde_frame)
     ok = (inv - via_conn).is_zero()
     ok = ok and all(inv.eval(p.coords) == via_conn.eval(p.coords)
                     for p in sample_points(5, seed=0))

@@ -94,7 +94,7 @@ def test_guard_rejects_non_solution():
 
 def test_fK_on_wbar_is_half_K_X(generic):
     sol, ds = generic
-    _, parts = f_on_wbar(sol, ds, parts=True)
+    _, parts = f_on_wbar(f_operator(sol, ds), parts=True)
     K = RatFn.const(sol.K)
     # K X / 2 has components (K x1 / 2, K x2 / 2)
     assert (parts["K"][0] - K * X1 / 2).is_zero()
@@ -151,7 +151,7 @@ def test_hfk_table_symmetric_fzeta_antisymmetric(generic):
     fz10 = h_pairing_vertical(op.parts["fzeta"][1], 0)
     assert (fz01 + fz10).is_zero()
     # and the antisymmetry carries exactly 2 [[F]] zeta = 2 f zeta
-    zeta = zeta_matrix(sol)
+    zeta = zeta_matrix()
     assert (fz01 - fz10 - 2 * ds.f * zeta[0][1]).is_zero()
 
 
@@ -230,7 +230,7 @@ def test_flat_reference_riemann_zero():
 
 def test_octuple_invariants(generic):
     sol, _ = generic
-    oct_f = octuple_fields(sol)
+    oct_f = octuple_fields()
     phi = phi_ratfn()
     # beta = phi^-2 xi nonvanishing certificate
     assert (oct_f.beta[0] * phi * phi - 1).is_zero()
@@ -259,7 +259,7 @@ def test_det_ratio_identity(generic):
 
 def test_beta_vanishes_on_wbar(generic):
     sol, _ = generic
-    oct_f = octuple_fields(sol)
+    oct_f = octuple_fields()
     val = sum(oct_f.beta[i] * oct_f.wbar[i] for i in range(4))
     assert val.is_zero()
 
@@ -267,8 +267,8 @@ def test_beta_vanishes_on_wbar(generic):
 def test_zeta_wbar_pairing(generic):
     """zeta(w, wbar) = 2 beta(w) for the coordinate fields."""
     sol, _ = generic
-    oct_f = octuple_fields(sol)
-    zeta = zeta_matrix(sol)
+    oct_f = octuple_fields()
+    zeta = zeta_matrix()
     for j, unit in enumerate(((1, 0, 0, 0), (0, 1, 0, 0))):
         w = [RatFn.const(c) for c in unit]
         val = form_pair(zeta, w, oct_f.wbar)
@@ -281,7 +281,7 @@ def test_zeta_wbar_pairing(generic):
 def test_frame_vertical_parts_are_f(generic):
     sol, ds = generic
     op = f_operator(sol, ds)
-    fr = htilde_frame(sol, ds)
+    fr = htilde_frame(op)
     assert (fr.w1[2] - op.total[0][0]).is_zero()
     assert (fr.w1[3] - op.total[0][1]).is_zero()
     assert (fr.w2[2] - op.total[1][0]).is_zero()
@@ -291,12 +291,12 @@ def test_frame_vertical_parts_are_f(generic):
 def test_frame_is_null_and_zeta_unchanged(generic):
     sol, ds = generic
     m = assemble_metric(sol)
-    fr = htilde_frame(sol, ds)
+    fr = htilde_frame(f_operator(sol, ds))
     for u in (fr.w1, fr.w2):
         for v in (fr.w1, fr.w2):
             assert metric_pair(m, u, v).is_zero()
     assert metric_pair(m, fr.c, fr.a).is_zero()
-    zeta = zeta_matrix(sol)
+    zeta = zeta_matrix()
     val = form_pair(zeta, fr.w1, fr.w2)
     assert (val - 2 / phi_ratfn()).is_zero()
 
@@ -305,9 +305,10 @@ def test_eta_eigenvalues_and_involution(generic):
     sol, ds = generic
     m = assemble_metric(sol)
     ginv = metric_inverse(m)
-    eta, _ = eta_theta_extension(sol, ds)
+    op = f_operator(sol, ds)
+    eta, _ = eta_theta_extension(ds, op)
     esharp = raise_second_index(eta, ginv)
-    fr = htilde_frame(sol, ds)
+    fr = htilde_frame(op)
     for vec, sign in ((fr.c, 1), (fr.a, 1), (fr.w1, -1), (fr.w2, -1)):
         out = apply_morphism(esharp, vec)
         for i in range(4):
@@ -322,8 +323,9 @@ def test_eta_eigenvalues_and_involution(generic):
 
 def test_theta_kills_deformed_frame(generic):
     sol, ds = generic
-    _, theta = eta_theta_extension(sol, ds)
-    fr = htilde_frame(sol, ds)
+    op = f_operator(sol, ds)
+    _, theta = eta_theta_extension(ds, op)
+    fr = htilde_frame(op)
     for w in (fr.w1, fr.w2):
         for v in (fr.w1, fr.w2, fr.c, fr.a):
             assert form_pair(theta, w, v).is_zero()
@@ -334,8 +336,8 @@ def test_eta_depends_on_r_metric_does_not(generic):
     sol, ds = generic
     sol2 = sol.with_r_override(ds.r.constant_value() + 1 if ds.r.is_constant() else Fraction(1))
     ds2 = derived_scalars(sol2)
-    eta1, _ = eta_theta_extension(sol, ds)
-    eta2, _ = eta_theta_extension(sol2, ds2)
+    eta1, _ = eta_theta_extension(ds, f_operator(sol, ds))
+    eta2, _ = eta_theta_extension(ds2, f_operator(sol2, ds2))
     assert not (eta1[0][1] - eta2[0][1]).is_zero()
     m1, m2 = assemble_metric(sol), assemble_metric(sol2)
     assert all((m1.g[a][b] - m2.g[a][b]).is_zero() for a in range(4) for b in range(4))
@@ -360,9 +362,15 @@ def test_invariant_constant_when_lambda_cc_zero():
     assert inv.is_constant() and inv.constant_value() == 3
 
 
+def connection_route(sol, ds):
+    """The metric, its Christoffel field and the deformed frame."""
+    m = assemble_metric(sol)
+    return m, christoffel(m), htilde_frame(f_operator(sol, ds))
+
+
 def test_gamma_connection_matches_closed_form(generic):
     sol, ds = generic
-    chr_g = gamma_via_connection(sol, ds)
+    chr_g = gamma_via_connection(*connection_route(sol, ds))
     closed = gamma_closed_form(sol, ds)
     assert (chr_g["c"] - closed["c"]).is_zero()
     assert (chr_g["a"] - closed["a"]).is_zero()
@@ -372,7 +380,7 @@ def test_gamma_u_connection_matches_invariant(generic):
     """The normalized connection-route value equals the closed-form invariant."""
     sol, ds = generic
     inv = invariant_gamma_u(sol)
-    via_conn = 4 * gamma_u_via_connection(sol, ds)
+    via_conn = 4 * gamma_u_via_connection(*connection_route(sol, ds))
     assert (inv - via_conn).is_zero()
     for p in sample_points(5, seed=2):
         assert inv.eval(p.coords) == via_conn.eval(p.coords)
@@ -381,7 +389,7 @@ def test_gamma_u_connection_matches_invariant(generic):
 def test_gamma_vanishes_for_flat_reference():
     sol = flat_reference_data()
     ds = derived_scalars(sol)
-    g = gamma_via_connection(sol, ds)
+    g = gamma_via_connection(*connection_route(sol, ds))
     assert g["c"].is_zero() and g["a"].is_zero()
 
 

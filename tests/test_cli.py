@@ -219,6 +219,38 @@ def test_solve_malformed_pde_exit2(tmp_path, capsys, pde):
     assert capsys.readouterr().err.startswith("error: malformed input")
 
 
+@pytest.mark.parametrize("step", [0, -1e-3, float("nan"), 1e-9],
+                         ids=["zero", "negative", "nan", "over-cap"])
+def test_solve_bad_step_exit2(tmp_path, capsys, step):
+    """A step that is not positive and finite, or a fan over the node cap, ends in exit 2."""
+    pde = {"rho": [{"e": [0, 0, 0], "c": "1"}], "sigma": [], "chi": [],
+           "initialCurve": {"axis": "y1", "offset": 0, "poly": [{"e": [0], "c": "1"}]},
+           "step": step, "extent": 0.3}
+    pfile = tmp_path / "pde.json"
+    pfile.write_text(json.dumps(pde))
+    out = tmp_path / "fan.json"
+    assert run(["solve", "--method", "characteristics", "--pde", str(pfile),
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--tol", "1"],
+    ["build", "--mode", "numeric"],
+    ["build", "--seed", "1"],
+    ["verify", "--points", "pts.json"],
+    ["invariant", "--orientation", "1"],
+    ["solve", "--family", "lccne", "--seed", "1"],
+    ["classify", "--step", "0.1"],
+])
+def test_flags_a_command_does_not_read_exit2(lccne_file, argv):
+    argv = argv[:1] + ([] if argv[0] == "solve" else ["--input", lccne_file]) + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
 def test_classify_metric_points(tmp_path, lccne_file):
     mfile = tmp_path / "m.json"
     run(["build", "--input", lccne_file, "--out", str(mfile)])
@@ -325,6 +357,16 @@ def test_invariant_command(tmp_path, lccne_file):
     data = json.loads(out.read_text())
     assert data["report"]["status"] == "pass"
     assert data["report"]["details"]["values"] == ["2", "5/4"]
+
+
+def test_invariant_command_builds_no_curvature(tmp_path, lccne_file, monkeypatch):
+    from petrov3 import tensorcalc
+
+    def no_riemann(*args, **kwargs):
+        raise AssertionError("invariant built the Riemann tensor")
+
+    monkeypatch.setattr(tensorcalc, "riemann", no_riemann)
+    assert run(["invariant", "--input", lccne_file, "--out", str(tmp_path / "inv.json")]) == 0
 
 
 def test_deterministic_output_bytes(tmp_path, lccne_file):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from petrov3 import builder
-from petrov3.builder import assemble_metric, derived_scalars, eta_theta_extension, zeta_matrix
+from petrov3.builder import (assemble_metric, derived_scalars, eta_theta_extension, f_operator,
+                             zeta_matrix)
 from petrov3.duality import (PAIRS, DegenerateFrame, NotSelfAdjoint,
                              NotTraceFree, NotTypeIII, TwoFormField, WeylEndo,
                              canonical_frame, curvature_on_forms, flat_to_matrix,
@@ -44,8 +45,8 @@ def lccne_setup():
 
 def test_normal_pairings_of_built_triple(lccne_setup):
     sol, ds, m, ginv, _, _, _ = lccne_setup
-    zeta = TwoFormField(zeta_matrix(sol))
-    eta_c, theta_c = eta_theta_extension(sol, ds)
+    zeta = TwoFormField(zeta_matrix())
+    eta_c, theta_c = eta_theta_extension(ds, f_operator(sol, ds))
     eta, theta = TwoFormField(eta_c), TwoFormField(theta_c)
     assert (twoform_inner(m, zeta, theta, ginv) - 2).is_zero()
     assert (twoform_inner(m, eta, eta, ginv) + 2).is_zero()
@@ -66,7 +67,7 @@ def test_inner_product_diag_example():
 def test_zuv_pairing_identity(lccne_setup):
     """<zeta, g(u,.) ^ g(v,.)> = zeta(u, v) at sampled points."""
     sol, _, m, ginv, _, _, _ = lccne_setup
-    zeta = TwoFormField(zeta_matrix(sol))
+    zeta = TwoFormField(zeta_matrix())
     rng = random.Random(2)
     for pt in sample_points(5, seed=9):
         u = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
@@ -278,7 +279,7 @@ def test_normal_triple_relations_and_proportionality(lccne_setup):
     Pp, _ = sd_projectors(h)
     Wp = mat_mul(Pp, mat_mul(W2, Pp))
     g2 = inverse_gram_pairs(ginv)
-    zeta_built = zeta_matrix(sol)
+    zeta_built = zeta_matrix()
     for pt in sample_points(4, seed=6):
         endo = weyl_endo_at_point(Wp, Pp, g2, pt.coords)
         zf, ef, tf = normal_triple(endo)
@@ -317,8 +318,8 @@ def test_normal_triple_equals_built_forms(lccne_setup):
     Pp, _ = sd_projectors(h)
     Wp = mat_mul(Pp, mat_mul(W2, Pp))
     g2 = inverse_gram_pairs(ginv)
-    zeta_b = zeta_matrix(sol)
-    eta_b, theta_b = eta_theta_extension(sol, ds)
+    zeta_b = zeta_matrix()
+    eta_b, theta_b = eta_theta_extension(ds, f_operator(sol, ds))
     for pt in sample_points(3, seed=13):
         endo = weyl_endo_at_point(Wp, Pp, g2, pt.coords)
         zf, ef, tf = normal_triple(endo)
@@ -381,8 +382,8 @@ def test_normal_triple_rejects_non_type3():
 
 def test_canonical_frame_component_table(lccne_setup):
     sol, ds, m, _, _, _, _ = lccne_setup
-    eta_c, theta_c = eta_theta_extension(sol, ds)
-    zeta_c = zeta_matrix(sol)
+    eta_c, theta_c = eta_theta_extension(ds, f_operator(sol, ds))
+    zeta_c = zeta_matrix()
     pt = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
     g0 = frac_eval_matrix(m.g, pt)
     z0 = frac_eval_matrix(zeta_c, pt)

@@ -8,7 +8,7 @@ import pytest
 from petrov3.builder import SolutionData, derived_scalars
 from petrov3.exactfield import Poly, RatFn
 from petrov3.pdesolve import (CallableConnection, CharacteristicCrossing,
-                              CharacteristicFan, InitialCurve, NonFiniteFan,
+                              CharacteristicFan, InitialCurve, InvalidFanGrid, NonFiniteFan,
                               PlaneConnection, QuasiLinearPDE,
                               SectionPair, TangentInitialCurve, UnknownCase,
                               ZeroCrossing, _gauged_brd2_residual, brd_eigen_diagnostics,
@@ -554,3 +554,14 @@ def test_connection_json_roundtrip():
         for j in range(2):
             assert (conn.a1[i][j] - back.a1[i][j]).is_zero()
             assert (conn.a2[i][j] - back.a2[i][j]).is_zero()
+
+
+@pytest.mark.parametrize("step, extent", [(0.0, 0.3), (-1e-3, 0.3), (float("nan"), 0.3),
+                                          (1e-3, float("inf")), (1e-3, 0.0), (1e-9, 0.3)],
+                         ids=["zero", "negative", "nan", "inf-extent", "zero-extent", "over-cap"])
+def test_invalid_fan_grid_rejected_before_allocation(step, extent):
+    pde = QuasiLinearPDE(rho=lambda *a: 1.0, sigma=lambda *a: 0.0, chi=lambda *a: 1.0)
+    ic = InitialCurve(axis="y1", offset=0.0, values=lambda s: 0.0)
+    with pytest.raises(InvalidFanGrid):
+        characteristics_solve(pde, ic, step=step, extent=extent)
+

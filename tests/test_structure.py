@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from petrov3.builder import (SolutionData, alpha_extended, assemble_metric,
-                             derived_scalars, eta_theta_extension,
-                             form_pair, gamma_extended, htilde_frame, metric_pair,
-                             octuple_fields, sum_form, zeta_matrix)
+from petrov3.builder import (SolutionData, alpha_extended, form_pair, gamma_extended,
+                             metric_pair, octuple_fields, sum_form)
 from petrov3.exactfield import Poly, RatFn
 from petrov3.pdesolve import k0_solve, connection_normal_form, lccne_generate
-from petrov3.tensorcalc import (christoffel, covariant_derivative_2form,
-                                exterior_derivative_1form, riemann, wedge_1forms)
+from petrov3.tensorcalc import (covariant_derivative_2form, exterior_derivative_1form,
+                                wedge_1forms)
+from petrov3.verify import VerificationBundle
 
 DIM = 4
 ZERO = Poly({}, 4)
@@ -54,18 +53,13 @@ def solutions():
 @pytest.fixture(scope="module", params=[0, 1, 2, 3],
                 ids=["family", "with-mu", "with-q", "K-and-q"])
 def setup(request):
-    sol = solutions()[request.param]
-    ds = derived_scalars(sol)
-    m = assemble_metric(sol)
-    gam = christoffel(m)
-    return sol, ds, m, gam
+    ctx = VerificationBundle.build(solutions()[request.param])
+    return ctx.sol, ctx, ctx.metric, ctx.gamma
 
 
-def frame_and_forms(sol, ds):
-    frame = htilde_frame(sol, ds)
-    zeta = zeta_matrix(sol)
-    eta, theta = eta_theta_extension(sol, ds)
-    return frame, zeta, eta, theta
+def frame_and_forms(ctx):
+    eta, theta = ctx.eta_theta
+    return ctx.htilde_frame, ctx.zeta, eta, theta
 
 
 # -- the four curvature conditions ---------------------------------------------------------
@@ -73,10 +67,9 @@ def frame_and_forms(sol, ds):
 
 def test_condition_vertical_curvature(setup):
     """R(w, u) v = K h(v, w) u for u, v vertical, w in the deformed frame."""
-    sol, ds, m, gam = setup
-    curv = riemann(gam, m)
-    R = curv.riemann
-    frame, _, _, _ = frame_and_forms(sol, ds)
+    sol, ctx, m, gam = setup
+    R = ctx.curvature.riemann
+    frame, _, _, _ = frame_and_forms(ctx)
     K = RatFn.const(sol.K, 4)
     for w in (frame.w1, frame.w2):
         for u in (frame.c, frame.a):
@@ -101,10 +94,10 @@ def test_condition_vertical_curvature(setup):
 
 def test_condition_beta_connection_form(setup):
     """d beta + 2 beta ^ alpha = -(K/2) zeta with the extended alpha."""
-    sol, ds, m, gam = setup
-    beta = octuple_fields(sol).beta
-    alpha = alpha_extended(sol, ds, gam)
-    zeta = zeta_matrix(sol)
+    sol, ctx, m, gam = setup
+    beta = octuple_fields().beta
+    alpha = alpha_extended(m, ctx.ginv, gam, ctx.htilde_frame)
+    zeta = ctx.zeta
     K = RatFn.const(sol.K, 4)
     dbeta = exterior_derivative_1form(beta)
     ba = wedge_1forms(beta, alpha)
@@ -116,9 +109,9 @@ def test_condition_beta_connection_form(setup):
 
 def test_condition_theta_parallel(setup):
     """[nabla_w theta](u, v) = -2 alpha(w) theta(u, v) on frame directions."""
-    sol, ds, m, gam = setup
-    frame, _, _, theta = frame_and_forms(sol, ds)
-    alpha = alpha_extended(sol, ds, gam)
+    sol, ctx, m, gam = setup
+    frame, _, _, theta = frame_and_forms(ctx)
+    alpha = alpha_extended(m, ctx.ginv, gam, ctx.htilde_frame)
     dtheta = covariant_derivative_2form(theta, gam)
     for w in (frame.w1, frame.w2):
         alpha_w = sum_form(alpha, w)
@@ -135,10 +128,10 @@ def test_condition_theta_parallel(setup):
 
 def test_condition_gamma_curvature_form(setup):
     """2 d gamma + 4 alpha ^ gamma = K theta + eta, the full 2-form identity."""
-    sol, ds, m, gam = setup
-    _, _, eta, theta = frame_and_forms(sol, ds)
-    alpha = alpha_extended(sol, ds, gam)
-    gamma1 = gamma_extended(sol, ds, gam)
+    sol, ctx, m, gam = setup
+    _, _, eta, theta = frame_and_forms(ctx)
+    alpha = alpha_extended(m, ctx.ginv, gam, ctx.htilde_frame)
+    gamma1 = gamma_extended(m, gam, ctx.htilde_frame)
     K = RatFn.const(sol.K, 4)
     dgamma = exterior_derivative_1form(gamma1)
     ag = wedge_1forms(alpha, gamma1)
@@ -154,11 +147,11 @@ def test_condition_gamma_curvature_form(setup):
 def test_triple_connection_forms(setup):
     """nabla zeta = 2a x zeta + 2b x eta, nabla eta = 2g x zeta + 2b x theta,
     nabla theta = 2g x eta - 2a x theta, all exact."""
-    sol, ds, m, gam = setup
-    _, zeta, eta, theta = frame_and_forms(sol, ds)
-    alpha = alpha_extended(sol, ds, gam)
-    gamma1 = gamma_extended(sol, ds, gam)
-    beta = octuple_fields(sol).beta
+    sol, ctx, m, gam = setup
+    _, zeta, eta, theta = frame_and_forms(ctx)
+    alpha = alpha_extended(m, ctx.ginv, gam, ctx.htilde_frame)
+    gamma1 = gamma_extended(m, gam, ctx.htilde_frame)
+    beta = octuple_fields().beta
     dz = covariant_derivative_2form(zeta, gam)
     de = covariant_derivative_2form(eta, gam)
     dt = covariant_derivative_2form(theta, gam)
@@ -177,14 +170,13 @@ def test_divergence_relations(setup):
     The (bue.ii)-raised combinations that express div W+ = 0.
     """
     from petrov3.builder import raise_second_index
-    from petrov3.tensorcalc import metric_inverse
 
-    sol, ds, m, gam = setup
-    _, zeta, eta, theta = frame_and_forms(sol, ds)
-    alpha = alpha_extended(sol, ds, gam)
-    gamma1 = gamma_extended(sol, ds, gam)
-    beta = octuple_fields(sol).beta
-    ginv = metric_inverse(m)
+    sol, ctx, m, gam = setup
+    _, zeta, eta, theta = frame_and_forms(ctx)
+    alpha = alpha_extended(m, ctx.ginv, gam, ctx.htilde_frame)
+    gamma1 = gamma_extended(m, gam, ctx.htilde_frame)
+    beta = octuple_fields().beta
+    ginv = ctx.ginv
 
     def form_on_oneform(omega, xi):
         """(bue.ii): the 1-form omega(v, .) where g(v, .) = xi."""
@@ -205,9 +197,9 @@ def test_divergence_relations(setup):
 
 def test_gamma_bracket_identity(setup):
     """gamma(w) zeta(w', w'') = g(w, [w', w'']) on the deformed frame."""
-    sol, ds, m, gam = setup
-    frame, zeta, _, _ = frame_and_forms(sol, ds)
-    gamma1 = gamma_extended(sol, ds, gam)
+    sol, ctx, m, gam = setup
+    frame, zeta, _, _ = frame_and_forms(ctx)
+    gamma1 = gamma_extended(m, gam, ctx.htilde_frame)
 
     def bracket(u, v):
         out = []
@@ -241,15 +233,11 @@ def test_octuple_axioms(setup):
     theta(v, zeta w) = 2 h(v, w); alpha(zeta w) = 2 beta(w).
     """
     from petrov3.builder import apply_morphism, raise_second_index
-    from petrov3.tensorcalc import metric_inverse
 
-    sol, ds, m, gam = setup
-    oct_f = octuple_fields(sol)
-    zeta = zeta_matrix(sol)
-    _, _, _, theta = frame_and_forms(sol, ds)
-    ginv = metric_inverse(m)
-    zsharp = raise_second_index(zeta, ginv)
-    frame = htilde_frame(sol, ds)
+    sol, ctx, m, gam = setup
+    oct_f = octuple_fields()
+    frame, zeta, _, theta = frame_and_forms(ctx)
+    zsharp = raise_second_index(zeta, ctx.ginv)
     verticals = {2: frame.c, 3: frame.a}
     horizontals = [frame.w1, frame.w2]
     alpha = oct_f.alpha

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from petrov3.builder import SolutionData, canonical_frame_field
+from petrov3.builder import SolutionData
 from petrov3.exactfield import Poly, RatFn
 from petrov3.pdesolve import lccne_generate
 from petrov3.tensorcalc import ChartMetric
@@ -214,7 +214,7 @@ def _frame_curv_all_slots(R, fr, a, b, c, d):
                          ids=["lccne_K1", "nonzero_K_and_q"])
 def test_frame_components_match_all_slots_reference(make_sol):
     bundle = VerificationBundle.build(make_sol())
-    fr = canonical_frame_field(bundle.sol, bundle.ds)
+    fr = bundle.canonical_frame
     R = bundle.curvature.riemann
     _, table = frame_tables(bundle)
     for a in range(4):
@@ -246,7 +246,8 @@ def test_curvature_homogeneity_detects_nonconstant_component(bundle_k1):
     for (i, j, k, l), sign in (((0, 1, 0, 1), 1), ((1, 0, 0, 1), -1),
                                ((0, 1, 1, 0), -1), ((1, 0, 1, 0), 1)):
         R[i][j][k][l] = R[i][j][k][l] + sign * bump
-    bad = replace(bundle_k1, curvature=replace(bundle_k1.curvature, riemann=R))
+    bad = VerificationBundle(bundle_k1.sol, bundle_k1.metric, bundle_k1.ginv,
+                             replace(bundle_k1.curvature, riemann=R), bundle_k1.ds)
     rep = verify_curvature_homogeneity(bad)
     assert rep.status == "fail"
     assert "not constant" in rep.residual_max
@@ -351,3 +352,50 @@ def test_each_verifier_fails_on_perturbed_input():
     assert rep.status == "fail"
     assert verify_curvature_identity(bad).status == "fail"
     assert verify_curvature_homogeneity(bad).status == "fail"
+
+
+# -- one geometry context per metric ------------------------------------------------------
+
+
+COUNTED = (("builder", "assemble_metric"), ("tensorcalc", "metric_inverse"),
+           ("tensorcalc", "christoffel"), ("tensorcalc", "riemann"), ("builder", "f_operator"))
+
+
+@pytest.mark.parametrize("make_sol", [lambda: lccne_generate(1, 1), nonzero_K_and_q_solution],
+                         ids=["lccne_K1", "nonzero_K_and_q"])
+def test_run_suite_computes_each_object_once(make_sol, monkeypatch):
+    """The metric, its inverse, Christoffel, Riemann and F are each built once per suite."""
+    import petrov3
+    from petrov3 import builder, cli, duality, exactfield, pdesolve, tensorcalc, verify
+
+    modules = (builder, cli, duality, exactfield, pdesolve, tensorcalc, verify)
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for home, name in COUNTED:
+        fn = getattr(getattr(petrov3, home), name)
+        counts[name] = 0
+        wrapped = counting(name, fn)
+        for mod in modules:                  # the defining module and every importer
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapped)
+    reports = run_suite(make_sol())
+    assert all(r.status == "pass" for r in reports)
+    assert counts == {name: 1 for _, name in COUNTED}
+
+
+@pytest.mark.parametrize("built", [1, -1])
+def test_context_projectors_match_hodge_star_of_each_orientation(built):
+    """P+- of either orientation, from the context's one star, equal those of its own star."""
+    from petrov3.duality import hodge_star, sd_projectors
+
+    ctx = VerificationBundle.build(lccne_generate(1, 1), built)
+    for orient in (1, -1):
+        want = sd_projectors(hodge_star(ctx.metric.with_orientation(orient), ctx.ginv))
+        for got, ref in zip(ctx.projectors(orient), want):
+            assert all((got[i][j] - ref[i][j]).is_zero() for i in range(6) for j in range(6))
