@@ -84,8 +84,12 @@ def cmd_verify(args) -> int:
         except (KeyError, ValueError) as exc:
             print(f"error: malformed input: {exc}", file=sys.stderr)
             return 2
-        reports = verify_mod.run_suite(sol, checks=checks, seed=args.seed,
-                                       orientation=args.orientation)
+        try:
+            reports = verify_mod.run_suite(sol, checks=checks, seed=args.seed,
+                                           orientation=args.orientation)
+        except EqnResidualNonzero as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     else:
         # bare metric input: only the Einstein check is available
         try:
@@ -200,19 +204,19 @@ def cmd_classify(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
+    # the inverse, Γ, R/Ric/scalar and the volume density are symbolic; W, the
+    # star, P+- and P W P are formed from their values at each point
     ctx = verify_mod.VerificationBundle(None, m)
-    verdicts = []
     try:
-        for orient in (1, -1):
-            Wp, Pp = ctx.weyl_part(orient)
-            label = "Wplus" if orient == 1 else "Wminus"
-            for p in pts:
-                endo = duality.weyl_endo_at_point(Wp, Pp, ctx.g2, p.coords)
-                v = duality.petrov_classify(endo)
-                verdicts.append({"part": label, **v.to_json(p.coords)})
+        forms = [ctx.forms_at(p.coords) for p in pts]
     except PoleAtPoint as exc:
         print(f"error: pole at sample point: {exc}", file=sys.stderr)
         return 2
+    verdicts = []
+    for orient, label in ((1, "Wplus"), (-1, "Wminus")):
+        for p, (W2, star, g2) in zip(pts, forms):
+            endo = duality.weyl_endo(W2, duality.projector(star, orient), g2, p.coords)
+            verdicts.append({"part": label, **duality.petrov_classify(endo).to_json(p.coords)})
     _dump(args.out, verdicts)
     return 0
 
@@ -223,7 +227,11 @@ def cmd_invariant(args) -> int:
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
-    ctx = verify_mod.VerificationBundle.build(sol)
+    try:
+        ctx = verify_mod.VerificationBundle.build(sol)
+    except EqnResidualNonzero as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     rep = verify_mod.nonhomogeneity_witness(ctx, seed=args.seed)
     payload = {"invariant": ctx.invariant.to_json(), "report": rep.to_json()}
     _dump(args.out, payload)

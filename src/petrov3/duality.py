@@ -9,6 +9,10 @@ coordinate 2-form basis
 in that order.  The star uses the volume form or * sqrt(det g) dy1^dy2^dx1^dx2;
 for constructed metrics det g = (x2)^2, so the density x2 is itself a rational
 function and the whole split stays exact.
+
+The matrix helpers (`inverse_gram_pairs`, `star_matrix`, `projector`,
+`project`, `mat_mul`, `curvature_on_forms`) take RatFn fields and Fraction
+point values alike; `weyl_endo` is the pointwise core of the classification.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .exactfield import RatFn, _rational_sqrt
-from .tensorcalc import ChartMetric, DIM, metric_det, metric_inverse
+from .tensorcalc import DIM, PAIRS, ChartMetric, metric_det
 
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 NPAIRS = 6
 
 
@@ -96,11 +99,8 @@ def inverse_gram_pairs(ginv) -> List[List[RatFn]]:
     return out
 
 
-def twoform_inner(m: ChartMetric, zeta: TwoFormField, eta: TwoFormField,
-                  ginv=None) -> RatFn:
+def twoform_inner(zeta: TwoFormField, eta: TwoFormField, ginv) -> RatFn:
     """<zeta, eta> = (1/2) zeta_{jk} eta^{jk}."""
-    if ginv is None:
-        ginv = metric_inverse(m)
     g2 = inverse_gram_pairs(ginv)
     zf, ef = zeta.flat(), eta.flat()
     s = RatFn.const(0, zf[0].nvars)
@@ -119,33 +119,43 @@ class HodgeOperator:
     orientation: int
 
 
-def hodge_star(m: ChartMetric, ginv=None) -> HodgeOperator:
-    """Exact star; NonRationalVolumeDensity when sqrt(|det g|) is not rational."""
-    if ginv is None:
-        ginv = metric_inverse(m)
+def volume_density(m: ChartMetric) -> RatFn:
+    """sqrt(|det g|) as a rational function; NonRationalVolumeDensity when it is not one.
+
+    Its sign is the one `RatFn.sqrt` gives, from the leading coefficient.
+    """
     det = metric_det(m)
+    if det.is_zero():
+        return RatFn.const(0, m.g[0][0].nvars)
     try:
-        vol = det.sqrt() if not det.is_zero() else RatFn.const(0, m.g[0][0].nvars)
+        return det.sqrt()
     except ValueError:
         try:
-            vol = (-det).sqrt()
+            return (-det).sqrt()
         except ValueError as exc:
             raise NonRationalVolumeDensity(str(exc)) from exc
-    g2 = inverse_gram_pairs(ginv)
-    nv = m.g[0][0].nvars
-    orient = m.orientation
+
+
+def star_matrix(g2, vol, orientation: int):
+    """orientation * vol * eps . G2: the star on the coordinate 2-form basis.
+
+    Row (ab) is eps_{abcd} times row (cd) of G2, for the one pair (cd)
+    complementary to (ab).
+    """
     star = []
     for (a, b) in PAIRS:
-        row = []
-        for J in range(NPAIRS):
-            s = RatFn.const(0, nv)
-            for Kidx, (c, d) in enumerate(PAIRS):
-                sign = _eps_sign(a, b, c, d)
-                if sign:
-                    s = s + sign * g2[Kidx][J]
-            row.append(orient * vol * s)
-        star.append(row)
-    return HodgeOperator(star=star, volume_density=vol, orientation=orient)
+        for K, (c, d) in enumerate(PAIRS):
+            sign = _eps_sign(a, b, c, d)
+            if sign:
+                star.append([orientation * vol * (sign * g2[K][J]) for J in range(NPAIRS)])
+    return star
+
+
+def hodge_star(m: ChartMetric, ginv) -> HodgeOperator:
+    """Exact star; NonRationalVolumeDensity when sqrt(|det g|) is not rational."""
+    vol = volume_density(m)
+    star = star_matrix(inverse_gram_pairs(ginv), vol, m.orientation)
+    return HodgeOperator(star=star, volume_density=vol, orientation=m.orientation)
 
 
 def mat_mul(A, B):
@@ -163,14 +173,25 @@ def mat_mul(A, B):
     return out
 
 
+def projector(star, sign: int):
+    """(Id + sign * star)/2.
+
+    With the star of orientation +1 this is P+ of orientation ``sign``; its
+    P- is the projector of the opposite sign.
+    """
+    half = Fraction(1, 2)
+    return [[half * (int(i == j) + sign * s) for j, s in enumerate(row)]
+            for i, row in enumerate(star)]
+
+
 def sd_projectors(h: HodgeOperator):
     """(P+, P-) = ((Id +- star)/2) as 6x6 rational-function matrices."""
-    nv = h.star[0][0].nvars
-    half = Fraction(1, 2)
-    eye = [[RatFn.const(1 if i == j else 0, nv) for j in range(NPAIRS)] for i in range(NPAIRS)]
-    Pp = [[half * (eye[i][j] + h.star[i][j]) for j in range(NPAIRS)] for i in range(NPAIRS)]
-    Pm = [[half * (eye[i][j] - h.star[i][j]) for j in range(NPAIRS)] for i in range(NPAIRS)]
-    return Pp, Pm
+    return projector(h.star, 1), projector(h.star, -1)
+
+
+def project(P, W):
+    """P W P: the part of W acting within the image of the projector P."""
+    return mat_mul(P, mat_mul(W, P))
 
 
 def curvature_on_forms(T4, ginv) -> List[List[RatFn]]:
@@ -183,15 +204,11 @@ def curvature_on_forms(T4, ginv) -> List[List[RatFn]]:
     return mat_mul(down, g2)
 
 
-def weyl_plus_minus(W4, m: ChartMetric, h: HodgeOperator, ginv=None):
+def weyl_plus_minus(W4, h: HodgeOperator, ginv):
     """(W+, W-) as exact 6x6 matrices on the 2-form bundle."""
-    if ginv is None:
-        ginv = metric_inverse(m)
     W2 = curvature_on_forms(W4, ginv)
     Pp, Pm = sd_projectors(h)
-    Wp = mat_mul(Pp, mat_mul(W2, Pp))
-    Wm = mat_mul(Pm, mat_mul(W2, Pm))
-    return Wp, Wm
+    return project(Pp, W2), project(Pm, W2)
 
 
 def matrix_is_zero(A) -> bool:
@@ -321,20 +338,29 @@ class PetrovVerdict:
 
 
 def weyl_endo_at_point(W2, projector, g2, coords) -> WeylEndo:
-    """Restrict the (projected) curvature action to the +-eigenspace at a point."""
-    P0 = frac_eval_matrix(projector, coords)
-    W0 = frac_eval_matrix(W2, coords)
-    G0 = frac_eval_matrix(g2, coords)
-    cols = independent_columns(P0, 3)
-    B = [[P0[i][c] for c in cols] for i in range(NPAIRS)]      # 6x3 basis
-    WB = [[sum(W0[i][l] * B[l][j] for l in range(NPAIRS)) for j in range(3)] for i in range(NPAIRS)]
+    """Restrict the curvature action to the +-eigenspace at a point: `weyl_endo` of
+    the point values.  W2 may be P W P already, since P (P W P) P = P W P."""
+    return weyl_endo(*(frac_eval_matrix(A, coords) for A in (W2, projector, g2)), coords)
+
+
+def weyl_endo(W, P, G, coords) -> WeylEndo:
+    """Restrict P W P to the image of P, from Fraction values at the point ``coords``.
+
+    W is the action on 2-forms, P the projector and G the Gram matrix.  B is a
+    basis of the image of P (three of its columns); P W P is applied to it as
+    P (W (P B)), which equals (P W P) B exactly and multiplies by 6x3 matrices
+    only.  M solves B M = P W P B, and the Gram matrix is B^T G B.
+    """
+    cols = independent_columns(P, 3)
+    B = [[P[i][c] for c in cols] for i in range(NPAIRS)]
+    WB = mat_mul(P, mat_mul(W, mat_mul(P, B)))
     M = [[Fraction(0)] * 3 for _ in range(3)]
     for j in range(3):
         x = frac_solve_consistent(B, [WB[i][j] for i in range(NPAIRS)])
         for i in range(3):
             M[i][j] = x[i]
-    gram = [[sum(B[i][a] * G0[i][j] * B[j][b] for i in range(NPAIRS) for j in range(NPAIRS))
-             for b in range(3)] for a in range(3)]
+    GB = mat_mul(G, B)
+    gram = [[sum(B[i][a] * GB[i][b] for i in range(NPAIRS)) for b in range(3)] for a in range(3)]
     return WeylEndo(matrix=M, gram=gram, basis=[[B[i][j] for i in range(NPAIRS)] for j in range(3)],
                     point=tuple(coords))
 

@@ -23,6 +23,8 @@ import numpy as np
 from .exactfield import RatFn
 
 DIM = 4
+# index pairs j < k of the 2-form slots, in the order of the coordinate 2-form basis
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class SingularMetric(ArithmeticError):
@@ -248,15 +250,16 @@ def weyl(curv: CurvatureSet, m: ChartMetric, K: Fraction | None = None,
 
     With ``einstein_shortcut`` and a given K, uses W = R - K g^g after checking
     the Einstein residual (NotEinstein if it fails).  Without the shortcut, the
-    full four-dimensional Ricci decomposition is used, valid for any metric.
+    full four-dimensional Ricci decomposition is used, valid for any metric:
+    it is formed on the 21 independent pair slots (`pair_tensor`), and the
+    entries of ``curv`` and ``m`` may be RatFn or Fraction point values.
     """
-    nv = m.g[0][0].nvars
     R, ric, scal = curv.riemann, curv.ricci, curv.scalar
     g = m.g
     if einstein_shortcut:
         if K is None:
             raise ValueError("einstein shortcut requires K")
-        Kf = RatFn.const(K, nv)
+        Kf = RatFn.const(K, g[0][0].nvars)
         for a in range(DIM):
             for b in range(a, DIM):
                 if not (ric[a][b] - 3 * Kf * g[a][b]).is_zero():
@@ -267,16 +270,29 @@ def weyl(curv: CurvatureSet, m: ChartMetric, K: Fraction | None = None,
 
     half = Fraction(1, 2)
     sixth = Fraction(1, 6)
-    W = [[[[None] * DIM for _ in range(DIM)] for _ in range(DIM)] for _ in range(DIM)]
-    for j in range(DIM):
-        for k in range(DIM):
-            for l in range(DIM):
-                for p in range(DIM):
-                    W[j][k][l][p] = (R[j][k][l][p]
-                                     - half * (g[j][l] * ric[k][p] - g[k][l] * ric[j][p]
-                                               + ric[j][l] * g[k][p] - ric[k][l] * g[j][p])
-                                     + sixth * scal * (g[j][l] * g[k][p] - g[k][l] * g[j][p]))
-    return W
+    return pair_tensor(lambda j, k, l, p: (
+        R[j][k][l][p]
+        - half * (g[j][l] * ric[k][p] - g[k][l] * ric[j][p]
+                  + ric[j][l] * g[k][p] - ric[k][l] * g[j][p])
+        + sixth * scal * (g[j][l] * g[k][p] - g[k][l] * g[j][p])), 0 * scal)
+
+
+def pair_tensor(component, zero) -> List:
+    """The curvature-type 4-slot tensor with the given independent components.
+
+    ``component(j, k, l, p)`` is called on the 21 slots j < k, l < p,
+    (j, k) <= (l, p) only; the other entries follow from T_kjlp = -T_jklp =
+    T_jkpl and T_lpjk = T_jklp, and are ``zero`` where j = k or l = p.  The
+    entries may be RatFn or Fraction.
+    """
+    T = [[[[zero] * DIM for _ in range(DIM)] for _ in range(DIM)] for _ in range(DIM)]
+    for I, (j, k) in enumerate(PAIRS):
+        for (l, p) in PAIRS[I:]:
+            v = component(j, k, l, p)
+            for (a, b, c, d) in ((j, k, l, p), (l, p, j, k)):
+                T[a][b][c][d] = T[b][a][d][c] = v
+                T[b][a][c][d] = T[a][b][d][c] = -v
+    return T
 
 
 def covariant_derivative_2form(omega: List, gam: ChristoffelField) -> List:

@@ -121,6 +121,33 @@ class VerificationBundle:
         return duality.inverse_gram_pairs(self.ginv)
 
     @cached_property
+    def volume_density(self) -> RatFn:
+        return duality.volume_density(self.metric)
+
+    def forms_at(self, coords):
+        """(W, S, G2) at one chart point, as 6x6 Fraction matrices on 2-forms.
+
+        W is the Weyl action, S = vol eps G2 the star of orientation +1 (so P+
+        of orientation s is `duality.projector(S, s)`) and G2 the Gram matrix.
+        Only R (its 21 independent pair components), Ric, the scalar, g, g^-1
+        and the volume density are evaluated; W is the full Ricci decomposition
+        of those values.  Evaluation is a ring homomorphism away from poles, so
+        these are the values of the symbolic objects; PoleAtPoint where one of
+        the evaluated functions has a pole.
+        """
+        # the density first: a non-rational density is reported ahead of any pole
+        vol = self.volume_density.eval(coords)
+        curv = self.curvature
+        R = tensorcalc.pair_tensor(
+            lambda j, k, l, p: curv.riemann[j][k][l][p].eval(coords), Fraction(0))
+        ric, g, ginv = (_symmetric_at(A, coords) for A in (curv.ricci, self.metric.g, self.ginv))
+        W4 = tensorcalc.weyl(tensorcalc.CurvatureSet(R, ric, curv.scalar.eval(coords)),
+                             ChartMetric(g), einstein_shortcut=False)
+        g2 = duality.inverse_gram_pairs(ginv)
+        star = duality.star_matrix(g2, vol, 1)
+        return duality.curvature_on_forms(W4, ginv), star, g2
+
+    @cached_property
     def sd_projectors(self):
         """(P+, P-) of the one Hodge star, for the metric's own orientation."""
         return duality.sd_projectors(duality.hodge_star(self.metric, self.ginv))
@@ -133,7 +160,16 @@ class VerificationBundle:
     def weyl_part(self, orientation: int):
         """(P+ W P+, P+) for `orientation`; W- of one orientation is W+ of the other."""
         Pp, _ = self.projectors(orientation)
-        return duality.mat_mul(Pp, duality.mat_mul(self.weyl_on_forms, Pp)), Pp
+        return duality.project(Pp, self.weyl_on_forms), Pp
+
+
+def _symmetric_at(A, coords):
+    """A symmetric 4x4 matrix at a point, each entry on and above the diagonal evaluated once."""
+    out = [[None] * DIM for _ in range(DIM)]
+    for a in range(DIM):
+        for b in range(a, DIM):
+            out[a][b] = out[b][a] = A[a][b].eval(coords)
+    return out
 
 
 def _exact_report(name: str, residuals, **kw) -> CheckReport:
@@ -192,7 +228,7 @@ def verify_selfdual_typeIII(bundle: VerificationBundle, n_points: int = 10,
     image) must agree on TypeIII at every sampled point.
     """
     try:
-        orient, Wp, W2, Pp, g2 = selfdual_orientation(bundle)
+        orient, _, W2, Pp, g2 = selfdual_orientation(bundle)
     except BothOrientationsFail:
         return CheckReport(name="selfdual_type3", mode="exact", status="fail",
                            residual_max="W- nonzero for both orientations")
@@ -203,7 +239,7 @@ def verify_selfdual_typeIII(bundle: VerificationBundle, n_points: int = 10,
     verdicts = []
     ok = True
     for p in pts:
-        endo = duality.weyl_endo_at_point(Wp, Pp, g2, p.coords)
+        endo = duality.weyl_endo_at_point(W2, Pp, g2, p.coords)
         verdict = duality.petrov_classify(endo)
         verdicts.append(verdict.to_json(p.coords))
         M = endo.matrix

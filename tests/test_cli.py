@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,14 +27,27 @@ def test_build_writes_metric_and_summary(tmp_path, lccne_file):
     assert data["derived"]["r"]["num"] == []          # r = 0 for this instance
 
 
-def test_build_rejects_non_solution(tmp_path):
-    zero_terms = []
-    comp = {name: zero_terms for name in
+@pytest.fixture()
+def non_solution_file(tmp_path):
+    """All eight components empty at K = 1: fails the solution-consistency guard."""
+    comp = {name: [] for name in
             ("lambda_cc", "lambda_ca", "lambda_aa", "mu_cc", "mu_ca", "mu_aa",
              "omega_cq", "omega_aq")}
     bad = tmp_path / "zero.json"
     bad.write_text(json.dumps({"K": "1", "components": comp}))
-    assert run(["build", "--input", str(bad), "--out", str(tmp_path / "m.json")]) == 3
+    return str(bad)
+
+
+def test_build_rejects_non_solution(tmp_path, non_solution_file):
+    assert run(["build", "--input", non_solution_file, "--out", str(tmp_path / "m.json")]) == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "invariant"])
+def test_non_solution_exit3(tmp_path, capsys, non_solution_file, command):
+    out = tmp_path / "out.json"
+    assert run([command, "--input", non_solution_file, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_build_malformed_input(tmp_path):
@@ -325,6 +339,57 @@ def test_classify_pole_point_exit2(tmp_path, lccne_file):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps([["0", "0", "1", "0"]]))       # on the phi = 0 wall
     assert run(["classify", "--input", str(metric), "--points", str(pts)]) == 2
+
+
+def test_classify_builds_no_symbolic_star_or_weyl_part(tmp_path, lccne_file, monkeypatch):
+    """classify decides from point values: no symbolic star, projectors or P W P."""
+    from petrov3 import duality
+    from petrov3.exactfield import RatFn
+
+    metric = tmp_path / "metric.json"
+    assert run(["build", "--input", lccne_file, "--out", str(metric)]) == 0
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([["0", "0", "1", "1"], ["1", "-1", "2", "1"]]))
+    argv = ["classify", "--input", str(metric), "--points", str(pts)]
+    assert run(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+
+    def refuse(name):
+        def fn(*args, **kwargs):
+            raise AssertionError(f"classify called duality.{name}")
+        return fn
+
+    symbolic_mat_mul = duality.mat_mul
+
+    def fraction_mat_mul(A, B):
+        if isinstance(A[0][0], RatFn) or isinstance(B[0][0], RatFn):
+            raise AssertionError("classify multiplied RatFn matrices")
+        return symbolic_mat_mul(A, B)
+
+    for name in ("hodge_star", "sd_projectors", "weyl_endo_at_point"):
+        monkeypatch.setattr(duality, name, refuse(name))
+    monkeypatch.setattr(duality, "mat_mul", fraction_mat_mul)
+    assert run(argv + ["--out", str(tmp_path / "patched.json")]) == 0
+    assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+GOLDEN_POINTS = [["0", "0", "1", "1"], ["1", "-1", "2", "0"], ["1/2", "1/3", "-1", "3/4"],
+                 ["-1", "2", "1/2", "-1/2"], ["2", "-1/2", "3", "-5/2"]]
+
+
+def test_classify_sheared_metric_golden_bytes(tmp_path):
+    """The K != 0, q != 0 metric sheared by x2 -> x2 + y1^2 at five points with
+    phi in [1/2, 3/2]: the bytes the symbolic P W P route wrote."""
+    from petrov3.builder import assemble_metric
+    from tests_metric_helper import nonzero_K_and_q_solution, sheared
+
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps(sheared(assemble_metric(nonzero_K_and_q_solution()), -1).to_json()))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(GOLDEN_POINTS))
+    out = tmp_path / "verdicts.json"
+    assert run(["classify", "--input", str(metric), "--points", str(pts), "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "golden" / "classify_sheared_kq.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_classify_connection_passthrough(tmp_path):

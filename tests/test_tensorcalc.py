@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from petrov3.builder import SolutionData, assemble_metric, phi_ratfn
-from petrov3.exactfield import Poly, RatFn
+from petrov3.exactfield import Poly, RatFn, sample_points
 from petrov3.pdesolve import lccne_generate
-from petrov3.tensorcalc import (ChartMetric, NotEinstein, SingularMetric,
+from petrov3.tensorcalc import (ChartMetric, CurvatureSet, NotEinstein, SingularMetric,
                                 christoffel, curvature_symmetry_residuals,
                                 first_bianchi_residuals, kulkarni_gg, metric_det,
                                 metric_inverse, nabla_g_residual, numeric_christoffel,
@@ -296,11 +296,15 @@ def test_weyl_scaling_under_constant_conformal_factor(lccne_bits):
                     assert (W4[j][k][l][p] - 4 * W1[j][k][l][p]).is_zero()
 
 
-def test_not_einstein_detected(lccne_bits):
-    sol, m, _, _, _ = lccne_bits
+def perturbed(m):
     g = [[m.g[a][b] for b in range(DIM)] for a in range(DIM)]
     g[0][0] = g[0][0] + RatFn.var(0)          # perturb one horizontal component
-    bad = ChartMetric(g)
+    return ChartMetric(g)
+
+
+def test_not_einstein_detected(lccne_bits):
+    sol, m, _, _, _ = lccne_bits
+    bad = perturbed(m)
     curv = riemann(christoffel(bad), bad)
     with pytest.raises(NotEinstein):
         weyl(curv, bad, Fraction(1))
@@ -321,3 +325,38 @@ def test_numeric_and_exact_scalar_agree(lccne_bits):
     pt = np.array([0.2, -0.1, 0.4, 1.1])
     _, _, scal = numeric_ricci_scalar(m.eval, pt, h=5e-3)
     assert abs(scal - float(curv.scalar.eval(pt))) < 1e-6
+
+
+def weyl_all_slots(curv, m):
+    """The full Ricci decomposition formed on all 256 slots: the reference for `weyl`."""
+    R, ric, scal, g = curv.riemann, curv.ricci, curv.scalar, m.g
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    return [[[[R[j][k][l][p]
+               - half * (g[j][l] * ric[k][p] - g[k][l] * ric[j][p]
+                         + ric[j][l] * g[k][p] - ric[k][l] * g[j][p])
+               + sixth * scal * (g[j][l] * g[k][p] - g[k][l] * g[j][p])
+               for p in range(DIM)] for l in range(DIM)] for k in range(DIM)] for j in range(DIM)]
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["lccne_K1", "not_einstein"])
+def test_weyl_pair_slots_match_all_slots_reference(lccne_bits, perturb):
+    """The 21 pair slots extended by symmetry equal the formula on every slot, and
+    the same call on Fraction point values gives the point values of W."""
+    _, m, _, _, curv = lccne_bits
+    if perturb:
+        m = perturbed(m)
+        curv = riemann(christoffel(m), m)
+    W = weyl(curv, m, None, einstein_shortcut=False)
+    ref = weyl_all_slots(curv, m)
+    slots = [(j, k, l, p) for j in range(DIM) for k in range(DIM)
+             for l in range(DIM) for p in range(DIM)]
+    assert all((W[j][k][l][p] - ref[j][k][l][p]).is_zero() for j, k, l, p in slots)
+    for pt in sample_points(3, seed=11):
+        c = pt.coords
+        R0 = [[[[curv.riemann[j][k][l][p].eval(c) for p in range(DIM)] for l in range(DIM)]
+               for k in range(DIM)] for j in range(DIM)]
+        ric0, g0 = ([[A[a][b].eval(c) for b in range(DIM)] for a in range(DIM)]
+                    for A in (curv.ricci, m.g))
+        W0 = weyl(CurvatureSet(R0, ric0, curv.scalar.eval(c)), ChartMetric(g0), None,
+                  einstein_shortcut=False)
+        assert all(W0[j][k][l][p] == W[j][k][l][p].eval(c) for j, k, l, p in slots)

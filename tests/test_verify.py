@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from petrov3.builder import SolutionData
-from petrov3.exactfield import Poly, RatFn
+from petrov3 import duality
+from petrov3.builder import SolutionData, assemble_metric
+from petrov3.exactfield import Poly, RatFn, sample_points
 from petrov3.pdesolve import lccne_generate
 from petrov3.tensorcalc import ChartMetric
 from petrov3.verify import (VerificationBundle, curvature_model, frame_components,
@@ -12,9 +13,9 @@ from petrov3.verify import (VerificationBundle, curvature_model, frame_component
                             verify_curvature_homogeneity, verify_curvature_identity,
                             verify_einstein, verify_einstein_metric,
                             verify_nonwalker, verify_selfdual_typeIII)
-from tests_flat_helper import flat_reference_data
+from tests_flat_helper import flat_reference_data, flat_reference_metric
+from tests_metric_helper import nonzero_K_and_q_solution, sheared
 
-ZERO = Poly({}, 4)
 Y2P = Poly.var(1, 4)
 
 
@@ -34,18 +35,6 @@ def perturbed_solution():
                         lambda_aa=sol.lambda_aa, mu_cc=sol.mu_cc, mu_ca=sol.mu_ca,
                         mu_aa=sol.mu_aa, omega_cq=sol.omega_cq, omega_aq=sol.omega_aq,
                         r_override=Fraction(0))
-
-
-def nonzero_K_and_q_solution():
-    """A solution with K != 0, q != 0 and a y-dependent derived r."""
-    K, alpha = Fraction(2), Fraction(3)
-    y1, y2 = Poly.var(0, 4), Poly.var(1, 4)
-    return SolutionData(K=K,
-                        lambda_cc=Poly.const(1, 4) - y1,
-                        lambda_ca=Poly.const(-K * alpha, 4) * y2 + y1 * y1,
-                        lambda_aa=y1,
-                        mu_cc=ZERO, mu_ca=ZERO, mu_aa=ZERO,
-                        omega_cq=Poly.const(-alpha, 4), omega_aq=ZERO)
 
 
 # -- einstein ---------------------------------------------------------------------------------
@@ -399,3 +388,37 @@ def test_context_projectors_match_hodge_star_of_each_orientation(built):
         want = sd_projectors(hodge_star(ctx.metric.with_orientation(orient), ctx.ginv))
         for got, ref in zip(ctx.projectors(orient), want):
             assert all((got[i][j] - ref[i][j]).is_zero() for i in range(6) for j in range(6))
+
+
+def _shifted_points(n, seed, k):
+    """Sample points moved along x2 so that phi = x2 - k y1^2 stays in [1/2, 2]."""
+    return [c[:3] + (c[3] + k * c[0] * c[0],) for c in (p.coords for p in sample_points(n, seed))]
+
+
+CORE_METRICS = {
+    "lccne_K1": (lambda: assemble_metric(lccne_generate(1, 1), -1), 0),
+    "nonzero_K_and_q": (lambda: assemble_metric(nonzero_K_and_q_solution()), 0),
+    "lccne_K1_shear+1": (lambda: sheared(assemble_metric(lccne_generate(1, 1)), 1), 1),
+    "lccne_K1_shear-1": (lambda: sheared(assemble_metric(lccne_generate(1, 1)), -1), -1),
+    "nonzero_K_and_q_shear+1": (lambda: sheared(assemble_metric(nonzero_K_and_q_solution()), 1), 1),
+    "nonzero_K_and_q_shear-1": (lambda: sheared(assemble_metric(nonzero_K_and_q_solution()), -1),
+                                -1),
+    "flat": (flat_reference_metric, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(CORE_METRICS))
+def test_pointwise_core_matches_symbolic_reference(name):
+    """`weyl_endo` on the point values of `forms_at` equals `weyl_endo_at_point`
+    on the evaluated symbolic P W P, for both orientations."""
+    make, k = CORE_METRICS[name]
+    ctx = VerificationBundle(None, make())
+    pts = _shifted_points(10, 21, k)
+    forms = [ctx.forms_at(c) for c in pts]
+    for orient in (1, -1):
+        Wp, Pp = ctx.weyl_part(orient)
+        for c, (W2, star, g2) in zip(pts, forms):
+            want = duality.weyl_endo_at_point(Wp, Pp, ctx.g2, c)
+            got = duality.weyl_endo(W2, duality.projector(star, orient), g2, c)
+            assert (got.matrix, got.gram, got.basis, got.point) == \
+                (want.matrix, want.gram, want.basis, want.point)
