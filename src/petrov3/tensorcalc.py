@@ -28,7 +28,7 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class SingularMetric(ArithmeticError):
-    """Metric determinant is identically zero."""
+    """Metric determinant is identically zero, or zero at a point of the numeric mirror."""
 
 
 class NotEinstein(ValueError):
@@ -58,10 +58,25 @@ class ChartMetric:
         return self.g[a][b]
 
     def eval(self, coords: Sequence) -> np.ndarray:
-        """The metric at a float point, as `RatFn.eval` gives it (entries compiled once)."""
+        """The metric at float points ``(..., 4)``, as an array ``(..., 4, 4)``.
+
+        Each of the 16 entries is compiled once and called once, on the
+        coordinate columns; constant entries broadcast.  The columns are
+        object arrays, so every point goes through the Python float arithmetic
+        of `RatFn.eval` and gets the same bits as a single-point call.  A
+        trailing dimension other than 4 raises ValueError, a pole PoleAtPoint.
+        """
         if self._float is None:
             self._float = [[self.g[a][b].float_fn() for b in range(DIM)] for a in range(DIM)]
-        return np.array([[float(f(*coords)) for f in row] for row in self._float])
+        x = np.asarray(coords, dtype=float)
+        if x.shape[-1:] != (DIM,):
+            raise ValueError("point has wrong dimension")
+        cols = tuple(np.moveaxis(x.astype(object), -1, 0))
+        out = np.empty(x.shape[:-1] + (DIM, DIM))
+        for a, row in enumerate(self._float):
+            for b, f in enumerate(row):
+                out[..., a, b] = f(*cols)
+        return out
 
     def with_orientation(self, orientation: int) -> "ChartMetric":
         return ChartMetric(self.g, orientation)
@@ -359,41 +374,89 @@ def fd4(at: Callable[[int], np.ndarray], h: float):
     return (2.0 / 3 * (at(1) - at(-1)) - 1.0 / 12 * (at(2) - at(-2))) / h
 
 
-def _fd_partial(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, i: int, h: float):
-    """Fourth-order central difference of a matrix-valued function along coordinate i."""
-    def at(k):
-        xp = x.copy()
-        xp[i] += k * h
-        return fn(xp)
-    return fd4(at, h)
+# stencil slot of x + k h e_i: slot 0 is x itself, then k = 1, -1, 2, -2 for i = 0..3
+_SHIFTS = tuple((i, k) for i in range(DIM) for k in (1, -1, 2, -2))
+_SLOT = {shift: n for n, shift in enumerate(_SHIFTS, 1)}
+
+
+def stencil(x: np.ndarray, h: float) -> np.ndarray:
+    """The 17 points ``(..., 17, 4)`` the mirror samples around each point of ``x`` ``(..., 4)``."""
+    pts = np.repeat(np.asarray(x, dtype=float)[..., None, :], 1 + len(_SHIFTS), axis=-2)
+    for n, (i, k) in enumerate(_SHIFTS, 1):
+        pts[..., n, i] += k * h
+    return pts
+
+
+def _fd_partials(vals: np.ndarray, h: float) -> np.ndarray:
+    """d_i at the centre for i = 0..3 (new axis 0) of values on a `stencil` (axis 0)."""
+    return np.stack([fd4(lambda k: vals[_SLOT[i, k]], h) for i in range(DIM)])
+
+
+def _check_step(h: float):
+    if not 0 < h < np.inf:
+        raise ValueError(f"finite-difference step h={h} must be finite and positive")
+
+
+def _christoffel_on_stencil(pts: np.ndarray, g: np.ndarray, h: float):
+    """Inverse metric and Gamma^a_{bc} at the centres of ``pts`` ``(17, ..., 4)``.
+
+    ``g`` ``(17, ..., 4, 4)`` holds the metric at the points of ``pts`` (stencil
+    axis 0, centre at slot 0).  A metric singular at a centre raises
+    SingularMetric naming the point.
+    """
+    try:
+        ginv = np.linalg.inv(g[0])
+    except np.linalg.LinAlgError:
+        det = np.abs(np.linalg.det(g[0]))
+        bad = np.unravel_index(np.argmin(det), det.shape)
+        raise SingularMetric(f"metric is singular at {tuple(pts[0][bad].tolist())}") from None
+    dg = np.moveaxis(_fd_partials(g, h), 0, -3)  # dg[..., c, a, b]
+    # lower[..., d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
+    lower = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    return ginv, 0.5 * np.einsum("...ad,...dbc->...abc", ginv, lower)
 
 
 def numeric_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-2):
-    ginv = np.linalg.inv(metric_fn(x))
-    dg = np.stack([_fd_partial(metric_fn, x, i, h) for i in range(DIM)])  # dg[c][a][b]
-    # lower[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
-    lower = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, lower)
+    """Finite-difference Gamma^a_{bc} at x from one ``metric_fn`` call on its 17-point stencil.
+
+    ``metric_fn`` maps float points ``(..., 4)`` to metrics ``(..., 4, 4)``, like
+    `ChartMetric.eval`.  A step that is not finite and positive raises
+    ValueError before anything is evaluated.
+    """
+    _check_step(h)
+    pts = np.moveaxis(stencil(x, h), -2, 0)
+    return _christoffel_on_stencil(pts, metric_fn(pts), h)[1]
 
 
-def numeric_riemann(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-2):
-    """Finite-difference Riemann (all indices down), same conventions as `riemann`."""
+def _numeric_curvature(metric_fn, x, h):
+    """Riemann and the inverse metric at x from one ``metric_fn`` call on 17 x 17 points.
 
-    def gamma_fn(pt):
-        return numeric_christoffel(metric_fn, pt, h)
-
-    g = metric_fn(x)
-    gamma = gamma_fn(x)
-    dgamma = np.stack([_fd_partial(gamma_fn, x, i, h) for i in range(DIM)])  # d[k][a][b][c]
+    The metric is sampled on the stencil of every point of the stencil of x;
+    Gamma at the 17 centres is differenced once more for d Gamma at x.
+    """
+    _check_step(h)
+    pts = np.moveaxis(stencil(stencil(x, h), h), -2, 0)
+    g = metric_fn(pts)                                # g[inner, centre, a, b]
+    ginv, gamma = _christoffel_on_stencil(pts, g, h)  # at the 17 centres
+    dgamma = _fd_partials(gamma, h)                   # d[k][a][b][c] at x
+    gamma = gamma[0]
     # Rop^m_{jkl} = S^m_{jkl} - S^m_{kjl} with S^m_{jkl} = d_k Gamma^m_{jl} + Gamma^n_{jl} Gamma^m_{kn}
     S = np.einsum("kmjl->mjkl", dgamma) + np.einsum("njl,mkn->mjkl", gamma, gamma)
     rop = S - S.transpose(0, 2, 1, 3)
-    return np.einsum("mjkl,mp->jklp", rop, g)
+    return np.einsum("mjkl,mp->jklp", rop, g[0, 0]), ginv[0]
+
+
+def numeric_riemann(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-2):
+    """Finite-difference Riemann (all indices down), same conventions as `riemann`.
+
+    The metric is evaluated on the 289-point stencil in one ``metric_fn`` call
+    (see `numeric_christoffel` for its contract).
+    """
+    return _numeric_curvature(metric_fn, x, h)[0]
 
 
 def numeric_ricci_scalar(metric_fn, x, h: float = 1e-2):
-    R = numeric_riemann(metric_fn, x, h)
-    ginv = np.linalg.inv(metric_fn(x))
+    R, ginv = _numeric_curvature(metric_fn, x, h)
     ric = np.einsum("jl,jklp->kp", ginv, R)
     scal = np.einsum("kp,kp->", ginv, ric)
     return R, ric, scal

@@ -1,18 +1,21 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from petrov3.builder import SolutionData, assemble_metric, phi_ratfn
-from petrov3.exactfield import Poly, RatFn, sample_points
+from petrov3.exactfield import PoleAtPoint, Poly, RatFn, sample_points
 from petrov3.pdesolve import lccne_generate
 from petrov3.tensorcalc import (ChartMetric, CurvatureSet, NotEinstein, SingularMetric,
-                                christoffel, curvature_symmetry_residuals,
+                                christoffel, curvature_symmetry_residuals, fd4,
                                 first_bianchi_residuals, kulkarni_gg, metric_det,
                                 metric_inverse, nabla_g_residual, numeric_christoffel,
-                                numeric_riemann, numeric_ricci_scalar, riemann, weyl,
-                                zero_matrix, _fd_partial)
+                                numeric_riemann, numeric_ricci_scalar, riemann, stencil, weyl,
+                                zero_matrix)
+from tests_metric_helper import nonzero_K_and_q_solution, sheared
 
 DIM = 4
 
@@ -203,6 +206,15 @@ def test_exact_matches_finite_difference_riemann(lccne_bits):
                         assert abs(ex - Rn[j, k, l, p]) / scale < 1e-6
 
 
+def _fd_partial(fn, x, i, h):
+    """Fourth-order central difference of a matrix-valued function along coordinate i."""
+    def at(k):
+        xp = x.copy()
+        xp[i] += k * h
+        return fn(xp)
+    return fd4(at, h)
+
+
 def loop_numeric_riemann(metric_fn, x, h):
     """Reference: the index loops that the einsum contractions replaced (same stencil)."""
     def gamma_fn(pt):
@@ -244,6 +256,84 @@ def test_einsum_mirror_matches_index_loops(lccne_bits):
         assert np.abs(gamma - gamma_ref).max() <= 1e-14 * np.abs(gamma_ref).max()
         R = numeric_riemann(m.eval, pt, h=5e-3)
         assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
+
+
+MIRROR_METRICS = {
+    "lccne_K-2": lambda: assemble_metric(lccne_generate(-2, 1)),
+    "nonzero_K_and_q_shear-1": lambda: sheared(assemble_metric(nonzero_K_and_q_solution()), -1),
+}
+
+
+@pytest.mark.parametrize("name", MIRROR_METRICS)
+def test_batched_eval_matches_single_points(name):
+    """Batches repeat the single-point bits (numpy's vectorized x ** e does not, at
+    some stencil points of the last two centres)."""
+    m = MIRROR_METRICS[name]()
+    centres = np.array([[0.3, -0.2, 0.5, 1.1], [0.5, -0.44, -0.03, 1.78], [0.92, 0.45, 0.08, 1.08]])
+    pts = stencil(stencil(centres, 5e-3), 5e-3)
+    assert pts.shape == (3, 17, 17, 4)
+    single = np.array([m.eval(p) for p in pts.reshape(-1, 4)])
+    batched = m.eval(pts)
+    assert batched.shape == (3, 17, 17, 4, 4)
+    assert batched.tobytes() == single.tobytes()
+    with pytest.raises(ValueError, match="wrong dimension"):
+        m.eval(np.ones(5))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        m.eval(np.ones((3, 5)))
+
+
+def test_batched_eval_pole_raises():
+    g = diag_metric(1, -1, 1, 1).g
+    g[0][0] = RatFn(Poly.const(1), Poly.var(3) - Poly.var(0) ** 2)    # pole on x2 = y1^2
+    m = ChartMetric(g)
+    assert m.eval(np.array([[0.5, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0]]))[:, 0, 0].tolist() == [4 / 3, 0.5]
+    with pytest.raises(PoleAtPoint):
+        m.eval(np.array([[0.5, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]]))
+    with pytest.raises(PoleAtPoint):
+        m.eval(np.array([1.0, 0.0, 0.0, 1.0]))
+
+
+def test_numeric_ricci_scalar_golden_bits():
+    """Values recorded from the point-by-point mirror the batched one replaced."""
+    golden = json.loads((Path(__file__).parent / "golden" / "numeric_ricci_scalar.json").read_text())
+    metrics = {name: make() for name, make in MIRROR_METRICS.items()}
+    assert len(golden["cases"]) == 6
+    for case in golden["cases"]:
+        R, ric, scal = numeric_ricci_scalar(metrics[case["metric"]].eval,
+                                            np.array(case["point"]), h=golden["h"])
+        assert float(scal).hex() == case["scalar"]
+        assert [float(v).hex() for v in ric.ravel()] == case["ricci"]
+        assert [float(v).hex() for v in R.ravel()] == case["riemann"]
+
+
+def test_numeric_ricci_scalar_makes_one_metric_call(lccne_bits):
+    _, m, _, _, _ = lccne_bits
+    shapes = []
+
+    def metric_fn(pts):
+        shapes.append(pts.shape)
+        return m.eval(pts)
+
+    numeric_ricci_scalar(metric_fn, np.array([0.2, -0.1, 0.4, 1.1]), h=5e-3)
+    assert shapes == [(17, 17, 4)]
+
+
+@pytest.mark.parametrize("h", [0.0, -5e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("fn", [numeric_christoffel, numeric_riemann, numeric_ricci_scalar])
+def test_numeric_mirror_rejects_bad_step(fn, h):
+    def metric_fn(pts):
+        raise AssertionError("metric evaluated before the step was checked")
+
+    with pytest.raises(ValueError, match="finite and positive"):
+        fn(metric_fn, np.array([0.2, -0.1, 0.4, 1.1]), h=h)
+
+
+def test_numeric_mirror_singular_stencil_point(lccne_bits):
+    _, m, _, _, _ = lccne_bits          # det g = x2^2
+    with pytest.raises(SingularMetric, match=r"\(0\.2, -0\.1, 0\.4, 0\.0\)"):
+        numeric_ricci_scalar(m.eval, np.array([0.2, -0.1, 0.4, 0.01]), h=5e-3)
+    with pytest.raises(SingularMetric, match=r"\(0\.2, -0\.1, 0\.4, 0\.0\)"):
+        numeric_christoffel(m.eval, np.array([0.2, -0.1, 0.4, 0.0]), h=5e-3)
 
 
 # -- weyl and kulkarni-nomizu -------------------------------------------------------------
