@@ -9,15 +9,16 @@ classify   Petrov verdicts per point (metric input), or the curvature
            trichotomy for a connection input
 invariant  the local invariant and its non-homogeneity witness
 
-Exit codes: 0 ok, 1 verification failure, 2 malformed input / pole points,
-3 solution-consistency failure, 4 solver geometry failure (tangent initial
-curve, gauge zero crossing, fan fold-over, non-finite fan).
+Exit codes: 0 ok, 1 verification failure, 2 malformed input / pole points /
+unwritable --out, 3 solution-consistency failure, 4 solver geometry failure
+(tangent initial curve, gauge zero crossing, fan fold-over, non-finite fan).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -28,13 +29,42 @@ from .pdesolve import (CharacteristicCrossing, InitialCurve, InvalidFanGrid, Qua
                        TangentInitialCurve, ZeroCrossing)
 
 
+class OutputError(Exception):
+    """``--out`` could not be written."""
+
+
+def _write(fh, payload) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _dump(path: str | None, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write ``payload`` as indented, key-sorted JSON and a newline to ``path`` or stdout.
+
+    The encoder's chunks are written as they are made, so the whole text is
+    never held in memory.  A file whose write fails is removed, so no partial
+    output is left behind; a failed write raises ``OutputError``.
+    """
     if path in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            _write(sys.stdout, payload)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise OutputError(exc) from exc
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise OutputError(exc) from exc
+    try:
+        with fh:
+            _write(fh, payload)
+    except BaseException as exc:
+        if os.path.isfile(path):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise OutputError(exc) from exc
+        raise
 
 
 def _load_json(path: str):
@@ -167,8 +197,10 @@ def cmd_solve(args) -> int:
         except (TangentInitialCurve, ZeroCrossing, CharacteristicCrossing) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
+        # the residual's temporaries are freed before the fan's list form is built
+        residual = fan.max_residual()
         payload = fan.to_json()
-        payload["maxPdeResidual"] = fan.max_residual()
+        payload["maxPdeResidual"] = residual
         _dump(args.out, payload)
         return 0
     print("error: need --family lccne|k0 or --method characteristics", file=sys.stderr)
@@ -295,8 +327,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("classify", help="Petrov verdicts or connection trichotomy")
     p.add_argument("--input", required=True, help="metric.json or connection.json")
     p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p.add_argument("--zero-tol", type=float, default=1e-12,
-                   help="numeric-mode zero-detection threshold")
+    p.add_argument("--zero-tol", type=float, default=None,
+                   help="numeric-mode zero threshold (default: the finite-difference "
+                        "rounding bound at each point)")
     p.add_argument("--points", default=None, help="JSON file with point rows")
     p.add_argument("--n-points", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -310,7 +343,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_invariant)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OutputError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

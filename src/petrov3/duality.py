@@ -512,34 +512,3 @@ def _frac_inv4(A):
     if len(piv) != n:
         raise DegenerateFrame("metric singular at point")
     return [[rows[i][n + j] for j in range(n)] for i in range(n)]
-
-
-def frame_component_table(g0, tensors: dict, frame) -> dict:
-    """Components of bilinear/4-linear objects in the given frame."""
-    out = {}
-    for name, T in tensors.items():
-        if isinstance(T[0][0], list):
-            out[name] = [[[[_multi4(T, frame[a], frame[b], frame[c], frame[d])
-                            for d in range(4)] for c in range(4)]
-                          for b in range(4)] for a in range(4)]
-        else:
-            out[name] = [[_form_val(T, frame[a], frame[b]) for b in range(4)] for a in range(4)]
-    return out
-
-
-def _multi4(T, u, v, w, x):
-    s = Fraction(0)
-    for a in range(DIM):
-        if u[a] == 0:
-            continue
-        for b in range(DIM):
-            if v[b] == 0:
-                continue
-            for c in range(DIM):
-                if w[c] == 0:
-                    continue
-                for d in range(DIM):
-                    if x[d] == 0:
-                        continue
-                    s += u[a] * v[b] * w[c] * x[d] * T[a][b][c][d]
-    return s

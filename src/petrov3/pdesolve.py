@@ -21,7 +21,7 @@ import numpy as np
 
 from .exactfield import Poly, RatFn, X2, Y1, Y2
 from .builder import NV, SolutionData, second_eqn_residual, fibre_forms
-from .tensorcalc import fd4
+from .tensorcalc import fd4, fd4_with_error
 
 Vec2 = Tuple[RatFn, RatFn]
 
@@ -285,11 +285,23 @@ class CallableConnection:
         A2 = np.array([[self.a2[i][j](y1, y2) for j in range(2)] for i in range(2)])
         return A1, A2
 
-    def curvature_at(self, y1: float, y2: float, h: float = 1e-4) -> np.ndarray:
-        dA1 = fd4(lambda k: self.matrices(y1, y2 + k * h)[0], h)
-        dA2 = fd4(lambda k: self.matrices(y1 + k * h, y2)[1], h)
+    def curvature_at(self, y1: float, y2: float, h: float = 1e-4):
+        """(R, err): the curvature at the point and an entrywise bound on its rounding error.
+
+        `tensorcalc.fd4_with_error` bounds the derivatives; the products add
+        _SAMPLE_ERR (|A2| |A1| + |A1| |A2|).
+        """
+        dA1, e1 = fd4_with_error(lambda k: self.matrices(y1, y2 + k * h)[0], y2, h, _SAMPLE_ERR)
+        dA2, e2 = fd4_with_error(lambda k: self.matrices(y1 + k * h, y2)[1], y1, h, _SAMPLE_ERR)
         A1, A2 = self.matrices(y1, y2)
-        return dA1 - dA2 + A2 @ A1 - A1 @ A2
+        err = e1 + e2 + _SAMPLE_ERR * (abs(A2) @ abs(A1) + abs(A1) @ abs(A2))
+        return dA1 - dA2 + A2 @ A1 - A1 @ A2, err
+
+
+# relative error allowed for one sample of a component callable: on case-Ic
+# normal forms the observed noise stays within 1.6 eps per sample, so this
+# keeps a tenfold margin
+_SAMPLE_ERR = 16 * float(np.finfo(float).eps)
 
 
 def connection_normal_form(case: str, psi=None, chi=None, p=None):
@@ -384,11 +396,14 @@ def connection_normal_form(case: str, psi=None, chi=None, p=None):
     return CallableConnection(a1, a2)
 
 
-def classify_connection(conn, points: Sequence, zero_tol: float = 1e-12) -> List[dict]:
+def classify_connection(conn, points: Sequence, zero_tol: float | None = None) -> List[dict]:
     """(nao) trichotomy per sample point, with line-bundle diagnostics.
 
-    Exact connections use exact zero tests; callable ones the zero threshold.
-    Transition points (numeric sign ambiguous) report Indeterminate.
+    Exact connections use exact zero tests.  Callable ones count a curvature
+    entry, or tr R^2, as zero when it is at most its rounding bound at the point
+    (`CallableConnection.curvature_at`), or at most ``zero_tol`` when
+    that is given.  Transition points (numeric sign ambiguous) report
+    Indeterminate.
     """
     out = []
     exact = isinstance(conn, PlaneConnection)
@@ -403,10 +418,14 @@ def classify_connection(conn, points: Sequence, zero_tol: float = 1e-12) -> List
             tr_null = tr2 == 0
             sign = 0 if tr2 == 0 else (1 if tr2 > 0 else -1)
         else:
-            R0 = conn.curvature_at(float(y1), float(y2))
+            R0, err = conn.curvature_at(float(y1), float(y2))
             tr2 = float(np.trace(R0 @ R0))
-            is_zero = bool(np.abs(R0).max() < zero_tol)
-            tr_null = abs(tr2) < zero_tol
+            if zero_tol is None:
+                tr_err = float(np.sum(2 * np.abs(R0.T) * err + err * err.T))
+            else:
+                err, tr_err = zero_tol, zero_tol
+            is_zero = bool(np.all(np.abs(R0) <= err))
+            tr_null = abs(tr2) <= tr_err
             sign = 0 if tr_null else (1 if tr2 > 0 else -1)
         if is_zero:
             tag = "Flat"
@@ -417,7 +436,7 @@ def classify_connection(conn, points: Sequence, zero_tol: float = 1e-12) -> List
         else:
             tag = "Indeterminate"      # tr^2 < 0 is outside the trichotomy used here
         rec = {"point": [float(y1), float(y2)], "tag": tag, "trR2": float(tr2),
-               "traceR": float(R0[0][0] + R0[1][1]) if not exact else float(R0[0][0] + R0[1][1])}
+               "traceR": float(R0[0][0] + R0[1][1])}
         if tag == "NullNonzero":
             rec["fundamental_tensor_nonzero"] = _fdt_nonzero(conn, R0, y1, y2)
         out.append(rec)
@@ -449,7 +468,7 @@ def _fdt_nonzero(conn, R0, y1, y2, tol: float = 1e-10) -> bool:
             Rl = np.array([[float(Rfield[i][j].eval((u1, u2, 0.0, 0.0)))
                             for j in range(2)] for i in range(2)])
         else:
-            Rl = conn.curvature_at(u1, u2)
+            Rl = conn.curvature_at(u1, u2)[0]
         _, _, vt2 = np.linalg.svd(Rl)
         w = vt2[-1]
         return w if w @ v >= 0 else -w

@@ -374,6 +374,21 @@ def fd4(at: Callable[[int], np.ndarray], h: float):
     return (2.0 / 3 * (at(1) - at(-1)) - 1.0 / 12 * (at(2) - at(-2))) / h
 
 
+def fd4_with_error(at: Callable[[int], np.ndarray], x: float, h: float, rel_err: float):
+    """``fd4(at, h)`` and a bound on its rounding error, for samples taken along coordinate ``x``.
+
+    A relative error ``rel_err`` in each sample f_k becomes
+    rel_err sum_k |w_k f_k| / h, with |w_k| = 2/3, 2/3, 1/12, 1/12.  Rounding
+    x + k h moves a sample by up to |f'| |x + k h| eps / 2, which the weights
+    turn into 0.75 eps (|x| + 2h) |f'| / h.  Truncation, h^4 |f^(5)| / 30, is
+    not included.
+    """
+    f = {k: at(k) for k in (1, -1, 2, -2)}
+    d = fd4(f.__getitem__, h)
+    spread = 2.0 / 3 * (abs(f[1]) + abs(f[-1])) + 1.0 / 12 * (abs(f[2]) + abs(f[-2]))
+    return d, (rel_err * spread + 0.75 * np.finfo(float).eps * (abs(x) + 2 * h) * abs(d)) / h
+
+
 # stencil slot of x + k h e_i: slot 0 is x itself, then k = 1, -1, 2, -2 for i = 0..3
 _SHIFTS = tuple((i, k) for i in range(DIM) for k in (1, -1, 2, -2))
 _SLOT = {shift: n for n, shift in enumerate(_SHIFTS, 1)}

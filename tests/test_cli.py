@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -441,3 +445,115 @@ def test_deterministic_output_bytes(tmp_path, lccne_file):
                     "einstein,selfdual,witness", "--seed", "7",
                     "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# -- streamed output and unwritable --out ----------------------------------------------------
+
+# the benchmark's gauge problem on case Ia: a 601 x 41 fan, about 1.7 MB of JSON
+GAUGE_PDE = {"rho": [{"e": [0, 0, 2], "c": "1"}], "sigma": [{"e": [0, 0, 0], "c": "-1"}],
+             "chi": [{"e": [0, 0, 1], "c": "1/2"}],
+             "initialCurve": {"axis": "y2", "offset": 0, "poly": [{"e": [0], "c": "1/3"}]},
+             "step": 1e-3, "extent": 0.3}
+
+
+@pytest.fixture()
+def command_argvs(tmp_path, lccne_file):
+    """One argv per command and input kind, without --out."""
+    from petrov3.builder import assemble_metric
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    metric = write("metric.json", assemble_metric(lccne_generate(1, 1)).to_json())
+    conn = write("conn.json", {"case": "II", "psi": [{"e": [0, 1, 0, 0], "c": "1"}]})
+    return {
+        "build": ["build", "--input", lccne_file],
+        "verify": ["verify", "--input", lccne_file, "--checks", "einstein,witness"],
+        "classify-metric": ["classify", "--input", metric,
+                            "--points", write("pts.json", [["0", "0", "1", "1"]])],
+        "classify-connection": ["classify", "--input", conn,
+                                "--points", write("base.json", [["0", "0"], ["1", "1"]])],
+        "solve-lccne": ["solve", "--family", "lccne", "--K", "-2"],
+        "solve-characteristics": ["solve", "--method", "characteristics",
+                                  "--pde", write("pde.json", GAUGE_PDE)],
+        "invariant": ["invariant", "--input", lccne_file],
+    }
+
+
+COMMANDS = ["build", "verify", "classify-metric", "classify-connection", "solve-lccne",
+            "solve-characteristics", "invariant"]
+
+
+@pytest.mark.parametrize("where", ["file", "stdout"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_streamed_output_equals_one_shot_text(tmp_path, capsys, monkeypatch, command_argvs,
+                                              command, where):
+    """The chunks the encoder streams add up to the one-shot text of the same payload."""
+    from petrov3 import cli
+
+    payloads, write = [], cli._write
+    monkeypatch.setattr(cli, "_write", lambda fh, payload: (payloads.append(payload),
+                                                            write(fh, payload))[1])
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(command_argvs[command] + ["--out", str(out) if where == "file" else "-"]) == 0
+    (payload,) = payloads
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if where == "file":
+        assert out.read_bytes() == expected.encode()
+    else:
+        assert capsys.readouterr().out == expected
+
+
+def test_characteristics_solve_peak_memory(tmp_path):
+    """One 601 x 41 fan solve holds neither the whole text nor the residual's
+    temporaries beside the fan's lists: its traced peak stays below 2.5x the
+    bytes it writes (about 6.4x when the text was built in one piece)."""
+    import tracemalloc
+
+    pfile = tmp_path / "pde.json"
+    pfile.write_text(json.dumps(GAUGE_PDE))
+    out = tmp_path / "fan.json"
+    argv = ["solve", "--method", "characteristics", "--pde", str(pfile), "--out", str(out)]
+    assert run(argv) == 0                       # imports and compiled evaluators settle
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * out.stat().st_size
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unwritable_out_exit2(tmp_path, capsys, command_argvs, command):
+    """--out naming a directory, or a file in a missing directory, is a named error, exit 2."""
+    for out in (tmp_path, tmp_path / "missing" / "out.json"):
+        capsys.readouterr()
+        assert run(command_argvs[command] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    """A write that fails partway (file size limit) exits 2 with one error line and no
+    traceback, and removes the partial file."""
+    pfile = tmp_path / "pde.json"
+    pfile.write_text(json.dumps(GAUGE_PDE))
+    out = tmp_path / "fan.json"
+    limited = ("import resource, signal, sys\n"
+               "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))\n"
+               "from petrov3.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", limited, "solve", "--method", "characteristics",
+                           "--pde", str(pfile), "--out", str(out)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -265,6 +265,27 @@ def test_case_ia_numeric_with_exponentials():
     assert all(r["tag"] == "Positive" for r in recs)
 
 
+@pytest.mark.parametrize("chi", [Y1P * Y1P * Fraction(1, 3), Y2P * Y2P * Fraction(1, 3),
+                                 Y1P * Y2P * Fraction(1, 3)], ids=["y1^2/3", "y2^2/3", "y1y2/3"])
+def test_case_ic_numeric_null_despite_rounding(chi):
+    """Case Ic with psi = y2, p = y1 has R = [[0, 0], [1 + 2 chi_2 y2, 0]]: tr R^2 is
+    exactly 0.  With chi depending on y2 the stencil leaves up to ~1e-10 of rounding
+    noise in tr R^2, which a fixed 1e-12 threshold tagged Positive or Indeterminate;
+    with chi = y1^2/3 every entry differences to exactly 0."""
+    conn = connection_normal_form("Ic", psi=Y2P, chi=chi, p=Poly({(1,): 1}, 1))
+    assert isinstance(conn, CallableConnection)
+    pts = [(a / 2, b / 3) for a in (-3, -1, 1, 3) for b in (-4, -2, 2, 4)]
+    assert [r["tag"] for r in classify_connection(conn, pts)] == ["NullNonzero"] * len(pts)
+
+
+def test_numeric_zero_tol_overrides_rounding_bound():
+    conn = connection_normal_form("Ia", psi=Poly({(0, 1, 0, 0): Fraction(1, 4)}, 4),
+                                  chi=Poly({(1, 0, 0, 0): Fraction(1, 5)}, 4))
+    err = conn.curvature_at(0.3, -0.2)[1]
+    assert 0 < err.max() < 1e-9
+    assert classify_connection(conn, [(0.3, -0.2)], zero_tol=1e3)[0]["tag"] == "Flat"
+
+
 def test_unknown_case():
     with pytest.raises(UnknownCase):
         connection_normal_form("IV")
