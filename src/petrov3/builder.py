@@ -272,32 +272,6 @@ def f_operator(sol: SolutionData, ds: DerivedScalars) -> FOperator:
     return FOperator(total=total, parts=parts)
 
 
-def f_apply(op: FOperator, vec: List[RatFn]) -> List[RatFn]:
-    """Apply F to a chart vector; F is valued in the verticals and kills them."""
-    return [vec[0] * op.total[0][i] + vec[1] * op.total[1][i] for i in range(2)]
-
-
-def f_on_wbar(op: FOperator, parts: bool = False):
-    """F applied to wbar = phi^-1 d_y2 (and per-part values if requested)."""
-    phi = phi_ratfn()
-    total = [op.total[1][0] / phi, op.total[1][1] / phi]
-    if not parts:
-        return total
-    return total, {name: [vals[1][0] / phi, vals[1][1] / phi] for name, vals in op.parts.items()}
-
-
-def h_pairing_vertical(v: List[RatFn], w_index: int) -> RatFn:
-    """h(v, d_{y_j}) = Omega(Y_{d_j}, v) for a vertical vector v = (v_c, v_a)."""
-    x1 = RatFn.var(X1, NV)
-    x2 = RatFn.var(X2, NV)
-    v_c, v_a = v
-    if w_index == 0:     # Y = X: Omega(X, v) = (x1 v_a - x2 v_c) Omega(c,a)... direct:
-        # Omega(X, v) = x1 v_a Omega(c, a) + x2 v_c Omega(a, c) = x2 v_c - x1 v_a
-        return x2 * v_c - x1 * v_a
-    # Y = c: Omega(c, v) = v_a Omega(c, a) = -v_a
-    return -v_a
-
-
 def assemble_metric(sol: SolutionData, orientation: int = 1) -> ChartMetric:
     """The metric of the construction, in coordinates (y1, y2, x1, x2).
 
@@ -484,19 +458,6 @@ def invariant_gamma_u(sol: SolutionData) -> RatFn:
     return RatFn.const(sol.K, NV) + (ff.lam_cc - 2 * ff.mu_cX) / (phi * phi)
 
 
-def gamma_closed_form(sol: SolutionData, ds: DerivedScalars) -> Dict[str, RatFn]:
-    """4 gamma~(v) = (E + K phi^2/2) Omega(X, v) - (L + 4 r phi^2) Omega(v, c), v in {c, a}."""
-    phi = ds.phi
-    K = RatFn.const(sol.K, NV)
-    x1 = RatFn.var(X1, NV)
-    coefE = ds.E + K * phi * phi / 2
-    coefL = ds.L + 4 * ds.r * phi * phi
-    # Omega(X, c) = phi, Omega(c, c) = 0; Omega(X, a) = -x1, Omega(a, c) = 1
-    g_c = coefE * phi / 4
-    g_a = (coefE * (-x1) - coefL) / 4
-    return {"c": g_c, "a": g_a}
-
-
 def gamma_via_connection(m: ChartMetric, gam: ChristoffelField,
                          frame: FrameField) -> Dict[str, RatFn]:
     """gamma~ on the verticals, extracted from covariant derivatives of the frame.
@@ -552,21 +513,6 @@ def gamma_extended(m: ChartMetric, gam: ChristoffelField, frame: FrameField) -> 
         gamma_w = gamma_of(w)
         Fc, Fa = w[2], w[3]
         out[j] = gamma_w - Fc * out[2] - Fa * out[3]
-    return out
-
-
-def alpha_extended(m: ChartMetric, ginv, gam: ChristoffelField,
-                   frame: FrameField) -> List[RatFn]:
-    """The 1-form alpha extended off the verticals by alpha(w~) = 2 gamma~(zeta w~)."""
-    gamma1 = gamma_extended(m, gam, frame)
-    zsharp = raise_second_index(zeta_matrix(), ginv)
-    out = [RatFn.const(0, NV)] * DIM
-    out[3] = -1 / phi_ratfn()                # alpha(a) = -d_a log phi
-    for j, w in ((0, frame.w1), (1, frame.w2)):
-        zw = apply_morphism(zsharp, w)       # vertical
-        alpha_w = 2 * sum_form(gamma1, zw)
-        Fc, Fa = w[2], w[3]
-        out[j] = alpha_w - (Fc * out[2] + Fa * out[3])
     return out
 
 

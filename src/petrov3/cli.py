@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import builder, duality, pdesolve, tensorcalc, verify as verify_mod
+from . import builder, duality, pdesolve, pdesystem, tensorcalc, verify as verify_mod
 from .builder import EqnResidualNonzero, SolutionData
 from .exactfield import PoleAtPoint, Point, Poly, RatFn, sample_points
 from .pdesolve import (CharacteristicCrossing, InitialCurve, InvalidFanGrid, QuasiLinearPDE,
@@ -162,18 +162,18 @@ def cmd_solve(args) -> int:
         except _MALFORMED as exc:
             print(f"error: malformed input: {exc!r}", file=sys.stderr)
             return 2
-        _dump(args.out, pdesolve.lccne_generate(K, const0, paa, pac).to_json())
+        _dump(args.out, pdesystem.lccne_generate(K, const0, paa, pac).to_json())
         return 0
     if args.family == "k0":
         conn = pdesolve.connection_normal_form("III")
         a = (RatFn.const(0, 4), RatFn.const(1, 4))
         try:
             chi = _term_list_arg(args.chi, 4) or Poly({}, 4)
-            _, sol = pdesolve.k0_solve(conn, a, chi)    # ValueError if chi depends on the fibre
+            _, sol = pdesystem.k0_solve(conn, a, chi)    # ValueError if chi depends on the fibre
         except _MALFORMED as exc:
             print(f"error: malformed input: {exc!r}", file=sys.stderr)
             return 2
-        r1, r2 = pdesolve.residual_eqn(sol)
+        r1, r2 = pdesystem.residual_eqn(sol)
         if not (r1.is_zero() and r2.is_zero()):
             print("error: k0 solution fails the residual equations", file=sys.stderr)
             return 3
@@ -223,8 +223,8 @@ def cmd_classify(args) -> int:
                 Poly.from_json(data["chi"], 4) if data.get("chi") else None,
                 Poly.from_json(data["p"], 1) if data.get("p") else None)
         else:
-            conn = pdesolve.PlaneConnection.from_json(data)
-        if args.mode == "exact" and not isinstance(conn, pdesolve.PlaneConnection):
+            conn = pdesystem.PlaneConnection.from_json(data)
+        if args.mode == "exact" and not isinstance(conn, pdesystem.PlaneConnection):
             print("error: connection requires transcendental data; rerun with "
                   "--mode numeric", file=sys.stderr)
             return 2

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List
 
 from .exactfield import RatFn, _rational_sqrt
 from .tensorcalc import DIM, PAIRS, ChartMetric, metric_det
@@ -75,15 +75,6 @@ class TwoFormField:
     def flat(self) -> List[RatFn]:
         return [self.comp[a][b] for (a, b) in PAIRS]
 
-    @classmethod
-    def from_flat(cls, vec: Sequence, nvars: int = 4) -> "TwoFormField":
-        zero = RatFn.const(0, nvars)
-        comp = [[zero for _ in range(DIM)] for _ in range(DIM)]
-        for I, (a, b) in enumerate(PAIRS):
-            comp[a][b] = vec[I]
-            comp[b][a] = -vec[I]
-        return cls(comp)
-
     def eval(self, coords) -> List[List[Fraction]]:
         return [[self.comp[a][b].eval(coords) for b in range(DIM)] for a in range(DIM)]
 
@@ -97,17 +88,6 @@ def inverse_gram_pairs(ginv) -> List[List[RatFn]]:
             row.append(ginv[a][c] * ginv[b][d] - ginv[a][d] * ginv[b][c])
         out.append(row)
     return out
-
-
-def twoform_inner(zeta: TwoFormField, eta: TwoFormField, ginv) -> RatFn:
-    """<zeta, eta> = (1/2) zeta_{jk} eta^{jk}."""
-    g2 = inverse_gram_pairs(ginv)
-    zf, ef = zeta.flat(), eta.flat()
-    s = RatFn.const(0, zf[0].nvars)
-    for I in range(NPAIRS):
-        for J in range(NPAIRS):
-            s = s + zf[I] * g2[I][J] * ef[J]
-    return s
 
 
 @dataclass
@@ -204,22 +184,8 @@ def curvature_on_forms(T4, ginv) -> List[List[RatFn]]:
     return mat_mul(down, g2)
 
 
-def weyl_plus_minus(W4, h: HodgeOperator, ginv):
-    """(W+, W-) as exact 6x6 matrices on the 2-form bundle."""
-    W2 = curvature_on_forms(W4, ginv)
-    Pp, Pm = sd_projectors(h)
-    return project(Pp, W2), project(Pm, W2)
-
-
 def matrix_is_zero(A) -> bool:
     return all(A[i][j].is_zero() for i in range(len(A)) for j in range(len(A[0])))
-
-
-def matrix_trace(A):
-    t = A[0][0]
-    for i in range(1, len(A)):
-        t = t + A[i][i]
-    return t
 
 
 # -- pointwise exact linear algebra over Fraction --------------------------------------
@@ -463,14 +429,6 @@ def normal_triple(endo: WeylEndo):
     if first is not None and first < 0:
         zf, ef, tf = [-x for x in zf], [-x for x in ef], [-x for x in tf]
     return zf, ef, tf
-
-
-def flat_to_matrix(vec) -> List[List[Fraction]]:
-    out = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for I, (a, b) in enumerate(PAIRS):
-        out[a][b] = Fraction(vec[I])
-        out[b][a] = -Fraction(vec[I])
-    return out
 
 
 def canonical_frame(g0, zeta_m, eta_m, theta_m):

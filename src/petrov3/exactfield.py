@@ -544,28 +544,7 @@ def _canonicalize(num: Poly, den: Poly) -> tuple:
     return num, den
 
 
-# -- module-level operation wrappers (spec surface) ---------------------------------
-
-
-def ratfn_arith(op: str, f: RatFn, g: RatFn) -> RatFn:
-    """Exact field arithmetic; op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ratfn_eval(f: RatFn, point: "Point") -> Union[Fraction, float]:
-    return f.eval(point.coords)
-
-
-def ratfn_is_zero(f: RatFn) -> bool:
-    return f.is_zero()
+# -- chart points -------------------------------------------------------------------
 
 
 class Point:

@@ -1,14 +1,9 @@
-"""Solution theory for the construction's quasi-linear PDE system.
+"""Numeric mirror of the construction's quasi-linear PDE system.
 
-Covers the exact residuals of the system and its four-equation component
-form, the reformulation as an area-preserving plane-bundle connection plus a
-section pair, connection normal forms and their curvature trichotomy, the
-method-of-characteristics integrator with gauge fixing, and the two special
-solution branches (flat connection, K = 0).
-
-Base-plane objects live in the same four-variable ring as everything else,
-with the fibre exponents unused; bundle components are taken in the frame
-(c, a) with Omega(a, c) = 1.
+Covers connection normal forms and their curvature trichotomy, the
+method-of-characteristics integrator and gauge fixing.  The exact system,
+its connection-pair reformulation and its solution branches live in
+`pdesystem`; `lccne_generate` and `SectionPair` are also importable from here.
 """
 
 from __future__ import annotations
@@ -19,11 +14,11 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .exactfield import Poly, RatFn, X2, Y1, Y2
-from .builder import NV, SolutionData, second_eqn_residual, fibre_forms
+from .exactfield import Poly, RatFn, Y1, Y2
+from .builder import NV
+from .pdesystem import PlaneConnection, SectionPair, lift_base, omega_pair
+from .pdesystem import lccne_generate  # noqa: F401  (re-exported for importers of pdesolve)
 from .tensorcalc import fd4, fd4_with_error
-
-Vec2 = Tuple[RatFn, RatFn]
 
 
 class TangentInitialCurve(ValueError):
@@ -51,217 +46,6 @@ class ZeroCrossing(ArithmeticError):
 
 class UnknownCase(ValueError):
     pass
-
-
-# -- residuals of the system -----------------------------------------------------------
-
-
-def residual_eqn(sol: SolutionData) -> Tuple[RatFn, RatFn]:
-    """The two residuals of the governing system; both vanish iff sol solves it.
-
-    first  = [2 mu_1(X,X) - lam_2(X,X)] phi - 4 lam(c,X) mu(X,X)
-             + 4 mu(c,X) lam(X,X) + 2 K phi^2 Omega(X,q)
-    second = lam_1(c,c) + 2 Omega(c,q_2) - 4 mu(q,c) + 1
-    """
-    ff = fibre_forms(sol)
-    phi = RatFn.var(X2, NV)
-    K = RatFn.const(sol.K, NV)
-    first = ((2 * ff.mu_XX.diff(Y1) - ff.lam_XX.diff(Y2)) * phi
-             - 4 * ff.lam_cX * ff.mu_XX + 4 * ff.mu_cX * ff.lam_XX
-             + 2 * K * phi * phi * ff.om_Xq)
-    second = RatFn(second_eqn_residual(sol))
-    return first, second
-
-
-def residual_loc(sol: SolutionData) -> List[Poly]:
-    """The four component equations' residuals, base-plane polynomials.
-
-    Zero iff `residual_eqn` vanishes: the first three are the quadratic-form
-    coefficients (in the fibre variable) of the first fibrewise identity, the
-    fourth is the second identity.  The mixed-coefficient equation is the
-    coefficient extraction itself,
-        2 mu_1(a,c) - lam_2(a,c) = 2 lam(c,c) mu(a,a) - 2 mu(c,c) lam(a,a)
-                                   - K Omega(c,q),
-    which on exact solutions is the identity the curvature pipeline certifies.
-    """
-    lcc, lca, laa = sol.lambda_cc, sol.lambda_ca, sol.lambda_aa
-    mcc, mca, maa = sol.mu_cc, sol.mu_ca, sol.mu_aa
-    om_cq, om_aq = sol.omega_cq, sol.omega_aq
-    r1 = 2 * mcc.diff(Y1) - lcc.diff(Y2) - 4 * lcc * mca + 4 * mcc * lca
-    r2 = (2 * maa.diff(Y1) - laa.diff(Y2) - 4 * lca * maa + 4 * mca * laa
-          + 2 * sol.K * om_aq)
-    r3 = (2 * mca.diff(Y1) - lca.diff(Y2) - 2 * lcc * maa + 2 * mcc * laa
-          + sol.K * om_cq)
-    r4 = second_eqn_residual(sol)
-    return [r1, r2, r3, r4]
-
-
-# -- connection-pair reformulation ------------------------------------------------------
-
-
-@dataclass
-class PlaneConnection:
-    """SL(2,R)-connection on the trivial plane bundle over the base.
-
-    ``a1`` and ``a2`` are the connection matrices in the frame (c, a):
-    covariant derivative along d_j of a section v is v_j + A_j v.  Both must
-    be trace-free for the area form to be parallel.
-    """
-
-    a1: List[List[RatFn]]
-    a2: List[List[RatFn]]
-
-    def __post_init__(self):
-        for A in (self.a1, self.a2):
-            if not (A[0][0] + A[1][1]).is_zero():
-                raise ValueError("connection matrix not trace-free (area form not parallel)")
-
-    def gamma(self, j: int, k: int, l: int) -> RatFn:
-        """Component Gamma^l_{jk} with j in {1, 2} labelling the base direction."""
-        A = self.a1 if j == 1 else self.a2
-        return A[l][k]
-
-    def curvature(self) -> List[List[RatFn]]:
-        """R(d1, d2) = A1,2 - A2,1 + [A2, A1] as a 2x2 matrix field."""
-        A1, A2 = self.a1, self.a2
-        dA1 = [[A1[i][j].diff(Y2) for j in range(2)] for i in range(2)]
-        dA2 = [[A2[i][j].diff(Y1) for j in range(2)] for i in range(2)]
-        comm = _mat2_sub(_mat2_mul(A2, A1), _mat2_mul(A1, A2))
-        return _mat2_add(_mat2_sub(dA1, dA2), comm)
-
-    def cov(self, j: int, v: Vec2) -> Vec2:
-        A = self.a1 if j == 1 else self.a2
-        d = Y1 if j == 1 else Y2
-        return (v[0].diff(d) + A[0][0] * v[0] + A[0][1] * v[1],
-                v[1].diff(d) + A[1][0] * v[0] + A[1][1] * v[1])
-
-    def to_json(self) -> dict:
-        return {"Gamma": [[[self.gamma(j, k, l).to_json() for l in range(2)]
-                           for k in range(2)] for j in (1, 2)]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlaneConnection":
-        G = data["Gamma"]
-        a1 = [[RatFn.from_json(G[0][k][l], NV) for k in range(2)] for l in range(2)]
-        a2 = [[RatFn.from_json(G[1][k][l], NV) for k in range(2)] for l in range(2)]
-        return cls(a1, a2)
-
-
-def _mat2_mul(A, B):
-    return [[A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]],
-            [A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]]]
-
-
-def _mat2_add(A, B):
-    return [[A[i][j] + B[i][j] for j in range(2)] for i in range(2)]
-
-
-def _mat2_sub(A, B):
-    return [[A[i][j] - B[i][j] for j in range(2)] for i in range(2)]
-
-
-@dataclass
-class SectionPair:
-    """Sections c and q of the plane bundle, components in the frame (c, a)."""
-
-    c: Vec2
-    q: Vec2
-
-
-def omega_pair(u: Vec2, v: Vec2) -> RatFn:
-    """Omega(u, v) = u_a v_c - u_c v_a in the frame with Omega(a, c) = 1."""
-    return u[1] * v[0] - u[0] * v[1]
-
-
-def to_connection_pair(sol: SolutionData) -> Tuple[PlaneConnection, SectionPair]:
-    """delta = Omega^-1 lambda, epsilon = Omega^-1 mu; A1 = delta, A2 = 2 epsilon."""
-    def omega_raise(f_cc: Poly, f_ca: Poly, f_aa: Poly):
-        return [[RatFn(-1 * f_ca), RatFn(-1 * f_aa)],
-                [RatFn(f_cc), RatFn(f_ca)]]
-
-    delta = omega_raise(sol.lambda_cc, sol.lambda_ca, sol.lambda_aa)
-    eps = omega_raise(sol.mu_cc, sol.mu_ca, sol.mu_aa)
-    a2 = [[2 * eps[i][j] for j in range(2)] for i in range(2)]
-    conn = PlaneConnection(delta, a2)
-    one = RatFn.const(1, NV)
-    zero = RatFn.const(0, NV)
-    q = (RatFn(sol.omega_aq), RatFn(-1 * sol.omega_cq))
-    return conn, SectionPair(c=(one, zero), q=q)
-
-
-def from_connection_pair(conn: PlaneConnection, sp: SectionPair, K: Fraction) -> SolutionData:
-    """Inverse of `to_connection_pair`; requires polynomial data and c = (1, 0)."""
-    if not ((sp.c[0] - 1).is_zero() and sp.c[1].is_zero()):
-        raise ValueError("inverse correspondence requires the constant section c")
-
-    def lower(A, half=False):
-        scale = Fraction(1, 2) if half else Fraction(1)
-        f_ca = -scale * A[0][0]
-        f_aa = -scale * A[0][1]
-        f_cc = scale * A[1][0]
-        f_ca2 = scale * A[1][1]
-        if not (f_ca - f_ca2).is_zero():
-            raise ValueError("connection matrix not trace-free")
-        return f_cc, f_ca, f_aa
-
-    l_cc, l_ca, l_aa = lower(conn.a1)
-    m_cc, m_ca, m_aa = lower(conn.a2, half=True)
-    om_cq = -sp.q[1]
-    om_aq = sp.q[0]
-
-    def as_poly(f: RatFn) -> Poly:
-        if not f.den.is_constant():
-            raise ValueError("component is not polynomial")
-        return f.num * (1 / f.den.constant_value())
-
-    return SolutionData(K=K,
-                        lambda_cc=as_poly(l_cc), lambda_ca=as_poly(l_ca), lambda_aa=as_poly(l_aa),
-                        mu_cc=as_poly(m_cc), mu_ca=as_poly(m_ca), mu_aa=as_poly(m_aa),
-                        omega_cq=as_poly(om_cq), omega_aq=as_poly(om_aq))
-
-
-def residual_brd(conn: PlaneConnection, sp: SectionPair, K: Fraction):
-    """Endomorphism-valued and scalar residuals of the curvature/derivative system.
-
-    first:  R(d1,d2) - [K Omega(c,.) q + K Omega(q,.) c]   (2x2 matrix)
-    second: Omega(c, cov1 cov1 c - 2 cov2 q) - 1
-    """
-    R = conn.curvature()
-    Kf = RatFn.const(K, NV)
-    c, q = sp.c, sp.q
-    # columns: image of basis vectors e_c = (1,0), e_a = (0,1)
-    basis = ((RatFn.const(1, NV), RatFn.const(0, NV)),
-             (RatFn.const(0, NV), RatFn.const(1, NV)))
-    rhs = [[None, None], [None, None]]
-    for col, e in enumerate(basis):
-        om_ce = omega_pair(c, e)
-        om_qe = omega_pair(q, e)
-        rhs[0][col] = Kf * (om_ce * q[0] + om_qe * c[0])
-        rhs[1][col] = Kf * (om_ce * q[1] + om_qe * c[1])
-    first = _mat2_sub(R, rhs)
-
-    cc = conn.cov(1, conn.cov(1, c))
-    dq = conn.cov(2, q)
-    arg = (cc[0] - 2 * dq[0], cc[1] - 2 * dq[1])
-    second = omega_pair(c, arg) - 1
-    return first, second
-
-
-def brd_eigen_diagnostics(conn: PlaneConnection, sp: SectionPair, K: Fraction, coords) -> dict:
-    """Pointwise eigenstructure of the curvature against the section pair."""
-    R = conn.curvature()
-    R0 = [[float(R[i][j].eval(coords)) for j in range(2)] for i in range(2)]
-    c0 = [float(x.eval(coords)) for x in sp.c]
-    q0 = [float(x.eval(coords)) for x in sp.q]
-    om_qc = q0[1] * c0[0] - q0[0] * c0[1]
-    Rc = [R0[0][0] * c0[0] + R0[0][1] * c0[1], R0[1][0] * c0[0] + R0[1][1] * c0[1]]
-    Rq = [R0[0][0] * q0[0] + R0[0][1] * q0[1], R0[1][0] * q0[0] + R0[1][1] * q0[1]]
-    return {
-        "R": R0,
-        "eigenvalue_on_c": float(K) * om_qc,
-        "Rc_minus_eig_c": [Rc[0] - float(K) * om_qc * c0[0], Rc[1] - float(K) * om_qc * c0[1]],
-        "Rq_plus_eig_q": [Rq[0] + float(K) * om_qc * q0[0], Rq[1] + float(K) * om_qc * q0[1]],
-    }
 
 
 # -- connection normal forms and classification ------------------------------------------
@@ -312,16 +96,7 @@ def connection_normal_form(case: str, psi=None, chi=None, p=None):
     the constant 1) come back exact; anything with a genuine exponential
     comes back as a CallableConnection.
     """
-    zero = Poly({}, NV)
-
-    def lift(poly):
-        if poly is None:
-            return zero
-        if poly.nvars == NV:
-            return poly
-        return Poly({e + (0,) * (NV - poly.nvars): c for e, c in poly.terms.items()}, NV)
-
-    psi, chi, p = lift(psi), lift(chi), lift(p)
+    psi, chi, p = lift_base(psi), lift_base(chi), lift_base(p)
     case = case.strip()
 
     if case == "III":
@@ -555,34 +330,48 @@ class CharacteristicFan:
 
     def max_residual(self) -> float:
         """max |rho z_1 + sigma z_2 - chi| on interior nodes, via chain-rule FD; NaN propagates."""
-        y1, y2, z, z1, z2 = _interior_chain_rule(self)
-        r = self.pde.rho(y1, y2, z) * z1 + self.pde.sigma(y1, y2, z) * z2 - self.pde.chi(y1, y2, z)
-        return float(np.max(np.abs(r), initial=0.0))
-
-    def max_error(self, exact: Callable) -> float:
-        """max |z - exact(y1, y2)| over the fan; ``exact`` receives the node arrays."""
-        return float(np.max(np.abs(self.z - exact(self.y1, self.y2))))
+        pde, worst = self.pde, 0.0
+        for y1, y2, z, z1, z2 in _interior_chain_rule(self):
+            r = pde.rho(y1, y2, z) * z1 + pde.sigma(y1, y2, z) * z2 - pde.chi(y1, y2, z)
+            worst = np.max(np.abs(r), initial=worst)
+        return float(worst)
 
     def to_json(self) -> dict:
         return {"t": self.t.tolist(), "s": self.s.tolist(),
                 "y1": self.y1.tolist(), "y2": self.y2.tolist(), "z": self.z.tolist()}
 
 
+# interior nodes per block of time-step rows in the fan residuals.  It bounds
+# their temporaries (about 160 bytes a node) whatever the fan size; blocks of
+# 64k nodes stayed in the malloc heap once freed and added about 9 MB to the
+# peak RSS of a 24001 x 41 solve, blocks of 8k add under 1 MB
+_BLOCK_NODES = 1 << 13
+
+
 def _interior_chain_rule(fan: CharacteristicFan):
-    """(y1, y2, z, z_1, z_2) on the interior fan nodes, as flat arrays.
+    """Yield `_chain_rule_rows` on blocks of time steps of about _BLOCK_NODES interior nodes."""
+    n, m = fan.z.shape
+    if min(n, m) < 5:
+        return
+    rows = max(1, _BLOCK_NODES // (m - 4))
+    for r0 in range(2, n - 2, rows):
+        yield _chain_rule_rows(fan, r0, min(r0 + rows, n - 2))
+
+
+def _chain_rule_rows(fan: CharacteristicFan, r0: int, r1: int):
+    """(y1, y2, z, z_1, z_2) on the interior nodes of time steps r0 <= i < r1, as flat arrays.
 
     z_1, z_2 come from fourth-order (t, s) gradients through the chain rule.
     Nodes whose Jacobian determinant is below 1e-12 in size are left out; NaN
-    nodes are kept, so that a residual taken over them is NaN.
+    nodes are kept, so that a residual taken over them is NaN.  The gradients
+    are freed on return, before the caller forms its residual.
     """
-    n, m = fan.z.shape
-    if min(n, m) < 5:
-        return (np.empty(0),) * 5
+    m = fan.z.shape[1]
     dt, ds = fan.t[1] - fan.t[0], fan.s[1] - fan.s[0]
 
     def grad(F):
-        return (fd4(lambda k: F[2 + k:n - 2 + k, 2:-2], dt),
-                fd4(lambda k: F[2:-2, 2 + k:m - 2 + k], ds))
+        return (fd4(lambda k: F[r0 + k:r1 + k, 2:-2], dt),
+                fd4(lambda k: F[r0:r1, 2 + k:m - 2 + k], ds))
 
     y1t, y1s = grad(fan.y1)
     y2t, y2s = grad(fan.y2)
@@ -592,7 +381,7 @@ def _interior_chain_rule(fan: CharacteristicFan):
     y1t, y1s, y2t, y2s, zt, zs, det = (a[keep] for a in (y1t, y1s, y2t, y2s, zt, zs, det))
     z1 = (zt * y2s - zs * y2t) / det
     z2 = (-zt * y1s + zs * y1t) / det
-    return (fan.y1[2:-2, 2:-2][keep], fan.y2[2:-2, 2:-2][keep], fan.z[2:-2, 2:-2][keep],
+    return (fan.y1[r0:r1, 2:-2][keep], fan.y2[r0:r1, 2:-2][keep], fan.z[r0:r1, 2:-2][keep],
             z1, z2)
 
 
@@ -744,116 +533,10 @@ def _gauged_brd2_residual(conn, sp: SectionPair, fan: CharacteristicFan) -> floa
     Only first derivatives of z enter (the z_11 term is killed by Omega(c, c)),
     so the fan's chain-rule gradients suffice.  NaN propagates.
     """
-    y1, y2, z, z1, z2 = _interior_chain_rule(fan)
-    a, b, d, s = (f(y1, y2) for f in _gauge_coeffs(conn, sp))
-    lhs = 2 * z * z1 * a + z * z * b + 2 * z2 * s / z - 2 * d
-    return float(np.max(np.abs(lhs - 1.0), initial=0.0))
-
-
-# -- special solution branches --------------------------------------------------------------
-
-
-@dataclass
-class FlatCaseSolution:
-    """c = rho (cos sigma, sin sigma) in a parallel frame, q = 0."""
-
-    rho: Callable
-    sigma: Callable
-    max_residual: float
-
-
-def flat_case_solve(rho_profile: Poly | None = None, extent: float = 1.0,
-                    n: int = 201) -> FlatCaseSolution:
-    """Solve (rho^2 sigma_1)_1 = 1 by repeated integration in y1, with q = 0.
-
-    ``rho_profile`` is a positive one-variable polynomial in y1 (default 1).
-    The residual Omega(c, c_11) - 1 = (rho^2 sigma_1)_1 - 1 is checked by
-    fourth-order finite differences on a y1 grid.
-    """
-    if rho_profile is None:
-        rho_profile = Poly.const(1, 1)
-
-    ys = np.linspace(-extent, extent, n)
-    rho_v = np.array([float(rho_profile.eval((y,))) for y in ys])
-    if np.any(rho_v <= 0):
-        raise ValueError("rho profile must be positive on the domain")
-    integrand = ys / rho_v ** 2
-    # cumulative Simpson-type integration from 0
-    sigma1 = integrand
-    sigma_v = _cumulative_integral(ys, sigma1)
-
-    def rho_fn(y1, y2=0.0):
-        return float(rho_profile.eval((y1,)))
-
-    def sigma_fn(y1, y2=0.0):
-        return float(np.interp(y1, ys, sigma_v))
-
-    # residual via the closed form (rho^2 sigma_1)_1 with sigma_1 known exactly
-    f = rho_v ** 2 * sigma1
-    h = ys[1] - ys[0]
-    df = fd4(lambda k: f[2 + k:n - 2 + k], h)
-    res = float(np.abs(df - 1.0).max())
-    return FlatCaseSolution(rho=rho_fn, sigma=sigma_fn, max_residual=res)
-
-
-def _cumulative_integral(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(fs)
-    for i in range(1, len(xs)):
-        out[i] = out[i - 1] + 0.5 * (fs[i] + fs[i - 1]) * (xs[i] - xs[i - 1])
-    i0 = len(xs) // 2
-    return out - out[i0]
-
-
-def k0_solve(flat_conn: PlaneConnection, a: Vec2, chi: Poly,
-             q0_c: Poly | None = None, q0_a: Poly | None = None) -> Tuple[SectionPair, SolutionData]:
-    """K = 0 branch: integrate 2 cov2 q = a + chi c + cov1 cov1 c exactly.
-
-    Requires a flat polynomial connection whose y2-matrix vanishes (so the
-    covariant y2-derivative is a plain derivative and the quadrature stays
-    polynomial); c is the constant section, a must satisfy Omega(a, c) = 1,
-    and q0 gives the y2-independent integration constant.
-    """
-    if not all(flat_conn.a2[i][j].is_zero() for i in range(2) for j in range(2)):
-        raise ValueError("exact K=0 integration needs a connection with vanishing y2 matrix")
-    Rm = flat_conn.curvature()
-    if not all(Rm[i][j].is_zero() for i in range(2) for j in range(2)):
-        raise ValueError("connection is not flat")
-    if not (omega_pair(a, (RatFn.const(1, NV), RatFn.const(0, NV))) - 1).is_zero():
-        raise ValueError("Omega(a, c) must be 1")
-
-    c = (RatFn.const(1, NV), RatFn.const(0, NV))
-    d11c = flat_conn.cov(1, flat_conn.cov(1, c))
-    rhs = (a[0] + RatFn(chi) * c[0] + d11c[0], a[1] + RatFn(chi) * c[1] + d11c[1])
-
-    def integrate_y2(f: RatFn) -> Poly:
-        if not f.den.is_constant():
-            raise ValueError("integrand not polynomial")
-        return (f.num * (1 / f.den.constant_value())).integrate(Y2)
-
-    q0_c = q0_c if q0_c is not None else Poly({}, NV)
-    q0_a = q0_a if q0_a is not None else Poly({}, NV)
-    q = (RatFn(integrate_y2(rhs[0] / 2) + q0_c), RatFn(integrate_y2(rhs[1] / 2) + q0_a))
-    sp = SectionPair(c=c, q=q)
-    sol = from_connection_pair(flat_conn, sp, Fraction(0))
-    return sp, sol
-
-
-def lccne_generate(K, const0, paa: Poly | None = None, pac: Poly | None = None) -> SolutionData:
-    """The explicit polynomial solution family.
-
-    q = 0, mu = 0, lambda(c,c) = const0 - y1, lambda(a,a) and lambda(a,c)
-    arbitrary polynomials in y1.
-    """
-    zero = Poly({}, NV)
-    lam_cc = Poly.const(const0, NV) - Poly.var(Y1, NV)
-
-    def lift(p: Poly | None) -> Poly:
-        if p is None:
-            return zero
-        if p.nvars == NV:
-            return p
-        return Poly({e + (0,) * (NV - p.nvars): c for e, c in p.terms.items()}, NV)
-
-    return SolutionData(K=Fraction(K), lambda_cc=lam_cc, lambda_ca=lift(pac),
-                        lambda_aa=lift(paa), mu_cc=zero, mu_ca=zero, mu_aa=zero,
-                        omega_cq=zero, omega_aq=zero)
+    coeffs = _gauge_coeffs(conn, sp)
+    worst = 0.0
+    for y1, y2, z, z1, z2 in _interior_chain_rule(fan):
+        a, b, d, s = (f(y1, y2) for f in coeffs)
+        lhs = 2 * z * z1 * a + z * z * b + 2 * z2 * s / z - 2 * d
+        worst = np.max(np.abs(lhs - 1.0), initial=worst)
+    return float(worst)

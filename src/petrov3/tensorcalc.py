@@ -180,23 +180,6 @@ def christoffel(m: ChartMetric, inv: Matrix | None = None) -> ChristoffelField:
     return ChristoffelField(gamma, inv)
 
 
-def nabla_g_residual(m: ChartMetric, gam: ChristoffelField) -> List:
-    """Components of nabla g; identically zero for every Levi-Civita field."""
-    res = []
-    for a in range(DIM):
-        plane = []
-        for b in range(DIM):
-            row = []
-            for c in range(DIM):
-                r = m.g[b][c].diff(a)
-                for d in range(DIM):
-                    r = r - gam.gamma[d][a][b] * m.g[d][c] - gam.gamma[d][a][c] * m.g[b][d]
-                row.append(r)
-            plane.append(row)
-        res.append(plane)
-    return res
-
-
 def riemann(gam: ChristoffelField, m: ChartMetric) -> CurvatureSet:
     """All-indices-down curvature; Ricci and scalar via the frozen contraction.
 
@@ -308,58 +291,6 @@ def pair_tensor(component, zero) -> List:
                 T[a][b][c][d] = T[b][a][d][c] = v
                 T[b][a][c][d] = T[a][b][d][c] = -v
     return T
-
-
-def covariant_derivative_2form(omega: List, gam: ChristoffelField) -> List:
-    """(nabla_a omega)_{bc} with the two lower indices corrected by Gamma."""
-    out = []
-    for a in range(DIM):
-        plane = []
-        for b in range(DIM):
-            row = []
-            for c in range(DIM):
-                val = omega[b][c].diff(a)
-                for d in range(DIM):
-                    val = val - gam.gamma[d][a][b] * omega[d][c] \
-                        - gam.gamma[d][a][c] * omega[b][d]
-                row.append(val)
-            plane.append(row)
-        out.append(plane)
-    return out
-
-
-def exterior_derivative_1form(form: List) -> List:
-    """(d beta)_{ab} = d_a beta_b - d_b beta_a."""
-    return [[form[b].diff(a) - form[a].diff(b) for b in range(DIM)] for a in range(DIM)]
-
-
-def wedge_1forms(beta: List, alpha: List) -> List:
-    """(beta ^ alpha)_{ab} = beta_a alpha_b - beta_b alpha_a."""
-    return [[beta[a] * alpha[b] - beta[b] * alpha[a] for b in range(DIM)]
-            for a in range(DIM)]
-
-
-def curvature_symmetry_residuals(R: List) -> list:
-    """Max description of the symmetry violations (all should be exactly zero)."""
-    out = []
-    for j in range(DIM):
-        for k in range(DIM):
-            for l in range(DIM):
-                for p in range(DIM):
-                    out.append(R[j][k][l][p] + R[k][j][l][p])
-                    out.append(R[j][k][l][p] + R[j][k][p][l])
-                    out.append(R[j][k][l][p] - R[l][p][j][k])
-    return out
-
-
-def first_bianchi_residuals(R: List) -> list:
-    out = []
-    for j in range(DIM):
-        for k in range(DIM):
-            for l in range(DIM):
-                for p in range(DIM):
-                    out.append(R[j][k][l][p] + R[k][l][j][p] + R[l][j][k][p])
-    return out
 
 
 # -- numeric mirror ------------------------------------------------------------------

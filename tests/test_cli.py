@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from petrov3.cli import main
-from petrov3.pdesolve import lccne_generate
+from petrov3.pdesystem import lccne_generate
 
 
 def run(argv):
@@ -145,10 +145,10 @@ def test_solve_k0_family(tmp_path):
 
 
 def test_solve_k0_residual_failure_exit3(tmp_path, monkeypatch):
-    from petrov3 import pdesolve
+    from petrov3 import pdesystem
     from petrov3.exactfield import RatFn
 
-    monkeypatch.setattr(pdesolve, "residual_eqn",
+    monkeypatch.setattr(pdesystem, "residual_eqn",
                         lambda sol: (RatFn.const(1, 4), RatFn.const(0, 4)))
     out = tmp_path / "sol.json"
     assert run(["solve", "--family", "k0", "--out", str(out)]) == 3

@@ -8,15 +8,16 @@ from petrov3.builder import (assemble_metric, derived_scalars, eta_theta_extensi
                              zeta_matrix)
 from petrov3.duality import (PAIRS, DegenerateFrame, NotSelfAdjoint,
                              NotTraceFree, NotTypeIII, TwoFormField, WeylEndo,
-                             canonical_frame, curvature_on_forms, flat_to_matrix,
+                             canonical_frame, curvature_on_forms,
                              frac_eval_matrix, hodge_star, inverse_gram_pairs,
-                             mat_mul, matrix_is_zero, matrix_trace, normal_triple,
-                             petrov_classify, sd_projectors, twoform_inner,
-                             weyl_endo_at_point, weyl_plus_minus)
+                             mat_mul, matrix_is_zero, normal_triple,
+                             petrov_classify, sd_projectors, weyl_endo_at_point)
 from petrov3.exactfield import RatFn, sample_points
-from petrov3.pdesolve import lccne_generate
+from petrov3.pdesystem import lccne_generate
 from petrov3.tensorcalc import (ChartMetric, christoffel, metric_inverse, riemann,
                                 weyl, zero_matrix)
+from tests_lemma_helper import (pairs_to_matrix, twoform_from_flat, twoform_inner,
+                                weyl_plus_minus)
 
 DIM = 4
 
@@ -56,8 +57,8 @@ def test_normal_pairings_of_built_triple(lccne_setup):
 
 def test_inner_product_diag_example():
     m = diag_metric(-1, -1, 1, 1)
-    dy1dy2 = TwoFormField.from_flat([RatFn.const(1)] + [RatFn.const(0)] * 5)
-    dx1dx2 = TwoFormField.from_flat([RatFn.const(0)] * 5 + [RatFn.const(1)])
+    dy1dy2 = twoform_from_flat([RatFn.const(1)] + [RatFn.const(0)] * 5)
+    dx1dx2 = twoform_from_flat([RatFn.const(0)] * 5 + [RatFn.const(1)])
     ginv = metric_inverse(m)
     # <dy1^dy2, dy1^dy2> = g^{11} g^{22} = 1, cross pairing zero
     assert (twoform_inner(dy1dy2, dy1dy2, ginv) - 1).is_zero()
@@ -150,7 +151,7 @@ def test_anticommutation_property(lccne_setup):
             for cb in cols:
                 za = [P0[i][ca] for i in range(6)]
                 zb = [P0[i][cb] for i in range(6)]
-                Za, Zb = flat_to_matrix(za), flat_to_matrix(zb)
+                Za, Zb = pairs_to_matrix(za, Fraction(0)), pairs_to_matrix(zb, Fraction(0))
                 # endomorphisms via (bue.i)
                 Ca = [[sum(Za[u][w] * ginv0[w][mm] for w in range(4)) for mm in range(4)]
                       for u in range(4)]
@@ -183,8 +184,8 @@ def test_wminus_zero_for_exactly_one_orientation(lccne_setup):
 def test_w_traces_vanish(lccne_setup):
     _, _, m, ginv, _, W4, h = lccne_setup
     Wp, Wm = weyl_plus_minus(W4, h, ginv)
-    assert matrix_trace(Wp).is_zero()
-    assert matrix_trace(Wm).is_zero()
+    assert sum((Wp[i][i] for i in range(6)), RatFn.const(0)).is_zero()
+    assert sum((Wm[i][i] for i in range(6)), RatFn.const(0)).is_zero()
 
 
 def test_w_splits_into_plus_and_minus(lccne_setup):
@@ -350,8 +351,8 @@ def test_pointwise_curvature_homogeneity(lccne_setup):
         endo = weyl_endo_at_point(Wp, Pp, g2, pt.coords)
         zf, ef, tf = normal_triple(endo)
         g0 = frac_eval_matrix(m.g, pt.coords)
-        frame = canonical_frame(g0, flat_to_matrix(zf), flat_to_matrix(ef),
-                                flat_to_matrix(tf))
+        frame = canonical_frame(g0, pairs_to_matrix(zf, Fraction(0)),
+                                pairs_to_matrix(ef, Fraction(0)), pairs_to_matrix(tf, Fraction(0)))
         R0 = [[[[curv.riemann[a][b][c][d].eval(pt.coords) for d in range(4)]
                 for c in range(4)] for b in range(4)] for a in range(4)]
 

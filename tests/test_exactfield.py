@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petrov3.exactfield import (DivisionByZeroFunction, Point, PoleAtPoint, Poly,
-                                RatFn, ratfn_arith, ratfn_eval, ratfn_is_zero,
-                                sample_points)
+                                RatFn, sample_points)
 
 
 def P(terms):
@@ -77,27 +76,27 @@ def test_diff_examples():
 
 def test_eval_examples():
     p = Point(0, 0, 1, 1)
-    assert ratfn_eval(X2, p) == 1
+    assert X2.eval(p.coords) == 1
     f = X1 * (1 - Y1) * X2 / 4
-    assert ratfn_eval(f, p) == Fraction(1, 4)
+    assert f.eval(p.coords) == Fraction(1, 4)
     with pytest.raises(PoleAtPoint):
-        ratfn_eval(1 / X2, Point(0, 0, 1, 0))
+        (1 / X2).eval(Point(0, 0, 1, 0).coords)
 
 
 def test_is_zero_examples():
-    assert ratfn_is_zero((X1 + X2) - (X2 + X1))
-    assert ratfn_is_zero(X1 / X2 - X1 * (1 / X2))
+    assert ((X1 + X2) - (X2 + X1)).is_zero()
+    assert (X1 / X2 - X1 * (1 / X2)).is_zero()
     # all-zero solution data leaves the constant 1 in the second residual
-    assert not ratfn_is_zero(RatFn.const(1))
+    assert not RatFn.const(1).is_zero()
 
 
 def test_arith_dispatch():
-    assert ratfn_arith("add", ONE, ONE) == RatFn.const(2)
-    assert ratfn_arith("sub", ONE, ONE).is_zero()
-    assert ratfn_arith("mul", X1, X2) == X1 * X2
-    assert ratfn_arith("div", X1, X2) == X1 / X2
-    with pytest.raises(ValueError):
-        ratfn_arith("pow", ONE, ONE)
+    assert ONE + ONE == RatFn.const(2)
+    assert (ONE - ONE).is_zero()
+    assert (X1 * X2).eval((0, 0, 2, 3)) == 6
+    assert (X1 / X2).eval((0, 0, 2, 3)) == Fraction(2, 3)
+    with pytest.raises(TypeError):
+        ONE + "x"
 
 
 def test_canonical_form_den_positive_primitive():

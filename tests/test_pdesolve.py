@@ -1,22 +1,26 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from petrov3.builder import SolutionData, derived_scalars
+from petrov3 import pdesolve
 from petrov3.exactfield import Poly, RatFn
-from petrov3.pdesolve import (CallableConnection, CharacteristicCrossing,
+from petrov3.pdesolve import (_BLOCK_NODES, CallableConnection, CharacteristicCrossing,
                               CharacteristicFan, InitialCurve, InvalidFanGrid, NonFiniteFan,
-                              PlaneConnection, QuasiLinearPDE,
-                              SectionPair, TangentInitialCurve, UnknownCase,
-                              ZeroCrossing, _gauged_brd2_residual, brd_eigen_diagnostics,
+                              QuasiLinearPDE, TangentInitialCurve, UnknownCase,
+                              ZeroCrossing, _gauge_coeffs, _gauged_brd2_residual,
+                              _interior_chain_rule,
                               characteristics_solve, classify_connection,
-                              connection_normal_form, flat_case_solve,
-                              from_connection_pair, gauge_fix, gauge_pde,
-                              k0_solve, lccne_generate, omega_pair, residual_brd,
-                              residual_eqn, residual_loc, to_connection_pair)
+                              connection_normal_form, gauge_fix, gauge_pde)
+from petrov3.pdesystem import (PlaneConnection, SectionPair, flat_case_solve,
+                               from_connection_pair, k0_solve, lccne_generate, omega_pair,
+                               residual_eqn, residual_loc, to_connection_pair)
+from petrov3.tensorcalc import fd4
+from tests_lemma_helper import brd_eigen_diagnostics, fan_max_error, residual_brd
 
 ZERO = Poly({}, 4)
 Y1P = Poly.var(0, 4)
@@ -305,7 +309,7 @@ def test_linear_transport():
     pde = QuasiLinearPDE(rho=lambda *a: 1.0, sigma=lambda *a: 0.0, chi=lambda *a: 1.0)
     ic = InitialCurve(axis="y1", offset=0.0, values=lambda s: 0.0)
     fan = characteristics_solve(pde, ic, step=1e-2, extent=0.3, nsamples=15)
-    assert fan.max_error(lambda y1, y2: y1) <= 1e-10
+    assert fan_max_error(fan, lambda y1, y2: y1) <= 1e-10
     assert fan.max_residual() <= 1e-10
 
 
@@ -313,7 +317,7 @@ def test_manufactured_quadratic():
     pde = QuasiLinearPDE(rho=lambda *a: 1.0, sigma=lambda *a: 1.0, chi=lambda *a: 0.0)
     ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: s * s)
     fan = characteristics_solve(pde, ic, step=1e-3, extent=0.3, nsamples=15)
-    assert fan.max_error(lambda y1, y2: (y1 - y2) ** 2) <= 1e-6
+    assert fan_max_error(fan, lambda y1, y2: (y1 - y2) ** 2) <= 1e-6
 
 
 def test_fourth_order_convergence_on_exponential_problem():
@@ -323,7 +327,7 @@ def test_fourth_order_convergence_on_exponential_problem():
     errs = []
     for step in (0.04, 0.02, 0.01):
         fan = characteristics_solve(pde, ic, step=step, extent=0.32, nsamples=7)
-        errs.append(fan.max_error(lambda y1, y2: np.exp(y1)))
+        errs.append(fan_max_error(fan, lambda y1, y2: np.exp(y1)))
     assert errs[0] / errs[1] >= 12
     assert errs[1] / errs[2] >= 12
 
@@ -356,7 +360,7 @@ def test_pde_json_roundtrip():
     pde = QuasiLinearPDE.from_json(data)
     ic = InitialCurve.from_json(data["initialCurve"], extent=0.25)
     fan = characteristics_solve(pde, ic, step=1e-3, extent=0.25, nsamples=11)
-    assert fan.max_error(lambda y1, y2: (y1 - y2) ** 2) <= 1e-6
+    assert fan_max_error(fan, lambda y1, y2: (y1 - y2) ** 2) <= 1e-6
 
 
 def scalar_rk4_fan(pde, ic, step, extent, nsamples):
@@ -427,7 +431,103 @@ def test_residuals_propagate_nan():
         bad = CharacteristicFan(t=fan.t, s=fan.s, pde=fan.pde, **arrays)
         assert np.isnan(bad.max_residual())
         assert np.isnan(_gauged_brd2_residual(conn, sp, bad))
-        assert np.isnan(bad.max_error(lambda y1, y2: y1 - y2))
+        assert np.isnan(fan_max_error(bad, lambda y1, y2: y1 - y2))
+
+
+# -- blocked fan residuals ----------------------------------------------------------------------
+
+
+def _whole_fan_chain_rule(fan):
+    """The interior chain rule on all nodes at once: the reference for the blocked residuals."""
+    n, m = fan.z.shape
+    dt, ds = fan.t[1] - fan.t[0], fan.s[1] - fan.s[0]
+
+    def grad(F):
+        return (fd4(lambda k: F[2 + k:n - 2 + k, 2:-2], dt),
+                fd4(lambda k: F[2:-2, 2 + k:m - 2 + k], ds))
+
+    y1t, y1s = grad(fan.y1)
+    y2t, y2s = grad(fan.y2)
+    zt, zs = grad(fan.z)
+    det = y1t * y2s - y1s * y2t
+    keep = ~(np.abs(det) < 1e-12)
+    y1t, y1s, y2t, y2s, zt, zs, det = (a[keep] for a in (y1t, y1s, y2t, y2s, zt, zs, det))
+    z1 = (zt * y2s - zs * y2t) / det
+    z2 = (-zt * y1s + zs * y1t) / det
+    return (fan.y1[2:-2, 2:-2][keep], fan.y2[2:-2, 2:-2][keep], fan.z[2:-2, 2:-2][keep],
+            z1, z2)
+
+
+def _whole_fan_residual(fan):
+    y1, y2, z, z1, z2 = _whole_fan_chain_rule(fan)
+    pde = fan.pde
+    r = pde.rho(y1, y2, z) * z1 + pde.sigma(y1, y2, z) * z2 - pde.chi(y1, y2, z)
+    return float(np.max(np.abs(r), initial=0.0))
+
+
+def _whole_fan_brd2(conn, sp, fan):
+    y1, y2, z, z1, z2 = _whole_fan_chain_rule(fan)
+    a, b, d, s = (f(y1, y2) for f in _gauge_coeffs(conn, sp))
+    lhs = 2 * z * z1 * a + z * z * b + 2 * z2 * s / z - 2 * d
+    return float(np.max(np.abs(lhs - 1.0), initial=0.0))
+
+
+# the case-Ia gauge equation z^2 z_1 - z_2 = z/2
+GAUGE_EQUATION = QuasiLinearPDE(rho=lambda y1, y2, z: z * z, sigma=lambda y1, y2, z: -1.0,
+                                chi=lambda y1, y2, z: z / 2)
+
+
+def _gauge_equation_fan(rows, nsamples, extent, z0=0.7):
+    """Closed-form fan of GAUGE_EQUATION from z = z0 on y2 = 0, rows time steps over +-extent."""
+    t = np.linspace(-extent, extent, rows)
+    s = np.linspace(-extent, extent, nsamples)
+    y1 = s[None, :] + z0 * z0 * np.expm1(t)[:, None]
+    y2 = np.broadcast_to(-t[:, None], y1.shape).copy()
+    z = np.broadcast_to(z0 * np.exp(t / 2)[:, None], y1.shape).copy()
+    return CharacteristicFan(y1=y1, y2=y2, z=z, t=t, s=s, pde=GAUGE_EQUATION)
+
+
+@pytest.mark.parametrize("extent,nsamples", [(2.0, 41), (3.3, 23)], ids=["4001x41", "6601x23"])
+def test_blocked_residual_bits_match_whole_fan(extent, nsamples):
+    ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: 0.7)
+    fan = characteristics_solve(GAUGE_EQUATION, ic, step=1e-3, extent=extent, nsamples=nsamples)
+    rows = _BLOCK_NODES // (nsamples - 4)
+    assert (fan.z.shape[0] - 4) % rows != 0 and len(list(_interior_chain_rule(fan))) > 1
+    assert fan.max_residual().hex() == _whole_fan_residual(fan).hex()
+
+
+def test_blocked_gauge_residual_bits_match_whole_fan(monkeypatch):
+    conn = connection_normal_form("Ia")
+    sp = SectionPair(c=(ZF, ONE), q=(-ONE, ZF))
+    ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: 0.9)
+    gp = gauge_fix(conn, sp, ic, step=1e-3, extent=2.0, nsamples=21)
+    rows = _BLOCK_NODES // 17
+    assert 3997 % rows != 0 and len(list(_interior_chain_rule(gp.fan))) > 1
+    assert gp.brd2_max_residual.hex() == _whole_fan_brd2(conn, sp, gp.fan).hex()
+    monkeypatch.setattr(pdesolve, "_BLOCK_NODES", 7 * 17)        # 7 rows a block, 571 blocks
+    assert _gauged_brd2_residual(conn, sp, gp.fan).hex() == gp.brd2_max_residual.hex()
+    assert gp.fan.max_residual().hex() == _whole_fan_residual(gp.fan).hex()
+
+
+@pytest.mark.parametrize("row", [2, 2000, 3998], ids=["first-block", "middle", "last-block"])
+def test_blocked_residual_propagates_nan(row):
+    fan = _gauge_equation_fan(4001, 41, 2.0)
+    assert np.isfinite(fan.max_residual())
+    fan.z[row, 7] = np.nan
+    assert np.isnan(fan.max_residual())
+
+
+def test_max_residual_memory_bounded():
+    """At 24001 x 41 a whole-fan residual traces 100 MB; blocks keep it near 1.3 MB."""
+    fan = _gauge_equation_fan(24001, 41, 12.0)
+    tracemalloc.start()
+    try:
+        res = fan.max_residual()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res == _whole_fan_residual(fan)
+    assert peak < 5e6
 
 
 # -- gauge fixing -----------------------------------------------------------------------------

@@ -5,20 +5,26 @@ horizontal distribution, the connection-form equations of the adapted
 2-form triple, and the defining axioms of the underlying partial-metric
 structure.  Together with the master identity they exercise every derived
 object (alpha and gamma extensions, eta/theta, the deformation operator)
-against the full Christoffel/curvature pipeline.
+against the full Christoffel/curvature pipeline.  The last section checks
+the layout of the package itself: module sizes and import order.
 """
 
+import subprocess
+import sys
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from petrov3.builder import (SolutionData, alpha_extended, form_pair, gamma_extended,
-                             metric_pair, octuple_fields, sum_form)
+from petrov3.builder import (SolutionData, form_pair, gamma_extended, metric_pair,
+                             octuple_fields, sum_form)
 from petrov3.exactfield import Poly, RatFn
-from petrov3.pdesolve import k0_solve, connection_normal_form, lccne_generate
-from petrov3.tensorcalc import (covariant_derivative_2form, exterior_derivative_1form,
-                                wedge_1forms)
+from petrov3.pdesolve import connection_normal_form
+from petrov3.pdesystem import k0_solve, lccne_generate
 from petrov3.verify import VerificationBundle
+from tests_lemma_helper import (alpha_extended, covariant_derivative_2form,
+                                exterior_derivative_1form, wedge_1forms)
 
 DIM = 4
 ZERO = Poly({}, 4)
@@ -36,7 +42,7 @@ def solutions():
     conn = connection_normal_form("III")
     a1 = [[RatFn(Y1P), RatFn.const(0, 4)], [RatFn(2 * Y1P), RatFn(-1 * Y1P)]]
     a2 = [[RatFn.const(0, 4)] * 2, [RatFn.const(0, 4)] * 2]
-    from petrov3.pdesolve import PlaneConnection
+    from petrov3.pdesystem import PlaneConnection
 
     _, with_q = k0_solve(PlaneConnection(a1, a2), (RatFn.const(0, 4), RatFn.const(1, 4)), Y2P)
     # K != 0 with constant q along a: r comes out genuinely y-dependent
@@ -270,3 +276,44 @@ def test_octuple_axioms(setup):
         assert (sum_form(alpha, zw) - 2 * sum_form(beta, w)).is_zero()
         for v in verticals.values():
             assert (form_pair(theta, v, zw) - 2 * metric_pair(m, v, w)).is_zero()
+
+
+# -- package layout ---------------------------------------------------------------------------
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "petrov3"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+# CPython's parser doubles its token array past 8,192 tokens, which shows in
+# the memory of every import that compiles the module from source; 6,000
+# leaves each module room to grow below that
+MAX_MODULE_TOKENS = 6000
+
+
+def _token_count(path: Path) -> int:
+    """Tokens as `tokenize` yields them, without COMMENT and NL."""
+    with path.open(encoding="utf-8") as f:
+        return sum(1 for t in tokenize.generate_tokens(f.readline)
+                   if t.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+def test_every_module_within_token_budget():
+    sizes = {p.name: _token_count(p) for p in PACKAGE.glob("*.py")}
+    assert len(sizes) >= 8
+    assert {k: v for k, v in sizes.items() if v > MAX_MODULE_TOKENS} == {}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first_in_fresh_process(module):
+    proc = subprocess.run([sys.executable, "-c", f"import petrov3.{module}"],
+                          cwd=PACKAGE.parent, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_pdesolve_keeps_the_names_its_importers_use():
+    from petrov3 import pdesolve, pdesystem
+
+    for name in ("lccne_generate", "SectionPair", "QuasiLinearPDE", "InitialCurve",
+                 "characteristics_solve", "connection_normal_form", "gauge_fix"):
+        assert hasattr(pdesolve, name), name
+    assert pdesolve.lccne_generate is pdesystem.lccne_generate
+    assert pdesolve.SectionPair is pdesystem.SectionPair

@@ -6,7 +6,7 @@ import pytest
 from petrov3 import duality
 from petrov3.builder import SolutionData, assemble_metric
 from petrov3.exactfield import Poly, RatFn, sample_points
-from petrov3.pdesolve import lccne_generate
+from petrov3.pdesystem import lccne_generate
 from petrov3.tensorcalc import ChartMetric
 from petrov3.verify import (VerificationBundle, curvature_model, frame_components,
                             frame_tables, nonhomogeneity_witness, run_suite, selfdual_orientation,
