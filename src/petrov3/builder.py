@@ -492,54 +492,6 @@ def _covariant_derivative_along_coordinate(vec: List[RatFn], direction: int,
     return out
 
 
-def gamma_extended(m: ChartMetric, gam: ChristoffelField, frame: FrameField) -> List[RatFn]:
-    """The full 1-form gamma~ in coordinate components.
-
-    On verticals it is the value extracted from covariant derivatives of the
-    deformed frame; on the frame directions gamma~(w~_j) comes from the same
-    defining relation, and the coordinate components follow from
-    d_j = w~_j - F d_j, F d_j being the vertical part of w~_j.
-    """
-    zeta_12 = 2 / phi_ratfn()
-    vert = gamma_via_connection(m, gam, frame)
-
-    def gamma_of(vec: List[RatFn]) -> RatFn:
-        nabla = _covariant_derivative_along(vec, frame.w1, gam)
-        return -metric_pair(m, nabla, frame.w2) / zeta_12
-
-    out = [RatFn.const(0, NV)] * DIM
-    out[2], out[3] = vert["c"], vert["a"]
-    for j, w in ((0, frame.w1), (1, frame.w2)):
-        gamma_w = gamma_of(w)
-        Fc, Fa = w[2], w[3]
-        out[j] = gamma_w - Fc * out[2] - Fa * out[3]
-    return out
-
-
-def sum_form(form: List[RatFn], vec: List[RatFn]) -> RatFn:
-    s = RatFn.const(0, NV)
-    for i in range(DIM):
-        if not vec[i].is_zero():
-            s = s + form[i] * vec[i]
-    return s
-
-
-def _covariant_derivative_along(direction: List[RatFn], vec: List[RatFn],
-                                gam: ChristoffelField) -> List[RatFn]:
-    out = []
-    for mcomp in range(DIM):
-        s = RatFn.const(0, NV)
-        for a in range(DIM):
-            if direction[a].is_zero():
-                continue
-            term = vec[mcomp].diff(a)
-            for b in range(DIM):
-                term = term + gam.gamma[mcomp][a][b] * vec[b]
-            s = s + direction[a] * term
-        out.append(s)
-    return out
-
-
 def canonical_frame_field(ginv, frame: FrameField):
     """Global frame (w, w', v, v') realizing the constant component tables.
 

@@ -22,6 +22,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import builder, duality, pdesolve, pdesystem, tensorcalc, verify as verify_mod
 from .builder import EqnResidualNonzero, SolutionData
 from .exactfield import PoleAtPoint, Point, Poly, RatFn, sample_points
@@ -33,8 +35,44 @@ class OutputError(Exception):
     """``--out`` could not be written."""
 
 
+def _chunks(obj, depth: int = 0):
+    """The text of ``json.dump(obj, indent=2, sort_keys=True)``, in pieces.
+
+    numpy arrays are written as their ``tolist()``, without building it for a
+    float64 array of two or more dimensions: that is written row by row.  A
+    row of Python floats is one piece, the floats' reprs with json's spellings
+    of NaN and infinity; anything else is written as json writes it.
+    """
+    if isinstance(obj, np.ndarray) and (obj.dtype != np.float64 or obj.ndim < 2):
+        obj = obj.tolist()
+    if not isinstance(obj, (dict, list, tuple, np.ndarray)):
+        yield json.dumps(obj)
+        return
+    if len(obj) == 0:
+        yield "{}" if isinstance(obj, dict) else "[]"
+        return
+    pad = "\n" + "  " * (depth + 1)
+    end = pad[:-2] + ("}" if isinstance(obj, dict) else "]")
+    if type(obj) is list and all(type(x) is float for x in obj):
+        text = repr(obj)[1:-1]
+        if "n" in text:                     # nan, inf or -inf among the reprs
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield "[" + pad + text.replace(", ", "," + pad) + end
+        return
+    if isinstance(obj, dict):
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            key = key if isinstance(key, str) else json.dumps(key)
+            yield ("{" if i == 0 else ",") + pad + json.dumps(key) + ": "
+            yield from _chunks(value, depth + 1)
+    else:
+        for i, value in enumerate(obj):
+            yield ("[" if i == 0 else ",") + pad
+            yield from _chunks(value, depth + 1)
+    yield end
+
+
 def _write(fh, payload) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.writelines(_chunks(payload))
     fh.write("\n")
 
 
@@ -197,10 +235,8 @@ def cmd_solve(args) -> int:
         except (TangentInitialCurve, ZeroCrossing, CharacteristicCrossing) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
-        # the residual's temporaries are freed before the fan's list form is built
-        residual = fan.max_residual()
-        payload = fan.to_json()
-        payload["maxPdeResidual"] = residual
+        payload = {"t": fan.t, "s": fan.s, "y1": fan.y1, "y2": fan.y2, "z": fan.z,
+                   "maxPdeResidual": fan.max_residual()}
         _dump(args.out, payload)
         return 0
     print("error: need --family lccne|k0 or --method characteristics", file=sys.stderr)

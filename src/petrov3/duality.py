@@ -60,25 +60,6 @@ def _eps_sign(a, b, c, d) -> int:
     return s
 
 
-@dataclass
-class TwoFormField:
-    """Antisymmetric 4x4 matrix of rational functions."""
-
-    comp: List[List[RatFn]]
-
-    def __post_init__(self):
-        for a in range(DIM):
-            for b in range(DIM):
-                if not (self.comp[a][b] + self.comp[b][a]).is_zero():
-                    raise ValueError("two-form not antisymmetric")
-
-    def flat(self) -> List[RatFn]:
-        return [self.comp[a][b] for (a, b) in PAIRS]
-
-    def eval(self, coords) -> List[List[Fraction]]:
-        return [[self.comp[a][b].eval(coords) for b in range(DIM)] for a in range(DIM)]
-
-
 def inverse_gram_pairs(ginv) -> List[List[RatFn]]:
     """G2[I][J] = g^{ac} g^{bd} - g^{ad} g^{bc}; also the <,> Gram matrix."""
     out = []

@@ -408,8 +408,9 @@ def characteristics_solve(pde: QuasiLinearPDE, ic: InitialCurve, step: float = 1
 
     def field(state):
         y1, y2, z = state
-        return np.array([np.broadcast_to(f(y1, y2, z), z.shape)
-                         for f in (pde.rho, pde.sigma, pde.chi)])
+        out = np.empty_like(state)
+        out[0], out[1], out[2] = pde.rho(y1, y2, z), pde.sigma(y1, y2, z), pde.chi(y1, y2, z)
+        return out
 
     i0 = nt
     grid = np.zeros((3, len(ts), nsamples))        # (y1, y2, z) x time step x sample

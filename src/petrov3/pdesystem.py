@@ -2,9 +2,9 @@
 
 Covers the exact residuals of the system and its four-equation component
 form, the reformulation as an area-preserving plane-bundle connection plus a
-section pair, and the solution branches built from it: the flat connection,
-K = 0 and the explicit polynomial family.  The numeric mirror (normal forms,
-characteristics, gauge fixing) lives in `pdesolve`.
+section pair, and the solution branches built from it: K = 0 and the explicit
+polynomial family.  The numeric mirror (normal forms, characteristics, gauge
+fixing) lives in `pdesolve`.
 
 Base-plane objects live in the same four-variable ring as everything else,
 with the fibre exponents unused; bundle components are taken in the frame
@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from .exactfield import Poly, RatFn, X2, Y1, Y2
 from .builder import NV, SolutionData, second_eqn_residual, fibre_forms
-from .tensorcalc import fd4
 
 Vec2 = Tuple[RatFn, RatFn]
 
@@ -194,57 +191,6 @@ def from_connection_pair(conn: PlaneConnection, sp: SectionPair, K: Fraction) ->
 
 
 # -- special solution branches --------------------------------------------------------------
-
-
-@dataclass
-class FlatCaseSolution:
-    """c = rho (cos sigma, sin sigma) in a parallel frame, q = 0."""
-
-    rho: Callable
-    sigma: Callable
-    max_residual: float
-
-
-def flat_case_solve(rho_profile: Poly | None = None, extent: float = 1.0,
-                    n: int = 201) -> FlatCaseSolution:
-    """Solve (rho^2 sigma_1)_1 = 1 by repeated integration in y1, with q = 0.
-
-    ``rho_profile`` is a positive one-variable polynomial in y1 (default 1).
-    The residual Omega(c, c_11) - 1 = (rho^2 sigma_1)_1 - 1 is checked by
-    fourth-order finite differences on a y1 grid.
-    """
-    if rho_profile is None:
-        rho_profile = Poly.const(1, 1)
-
-    ys = np.linspace(-extent, extent, n)
-    rho_v = np.array([float(rho_profile.eval((y,))) for y in ys])
-    if np.any(rho_v <= 0):
-        raise ValueError("rho profile must be positive on the domain")
-    integrand = ys / rho_v ** 2
-    # cumulative Simpson-type integration from 0
-    sigma1 = integrand
-    sigma_v = _cumulative_integral(ys, sigma1)
-
-    def rho_fn(y1, y2=0.0):
-        return float(rho_profile.eval((y1,)))
-
-    def sigma_fn(y1, y2=0.0):
-        return float(np.interp(y1, ys, sigma_v))
-
-    # residual via the closed form (rho^2 sigma_1)_1 with sigma_1 known exactly
-    f = rho_v ** 2 * sigma1
-    h = ys[1] - ys[0]
-    df = fd4(lambda k: f[2 + k:n - 2 + k], h)
-    res = float(np.abs(df - 1.0).max())
-    return FlatCaseSolution(rho=rho_fn, sigma=sigma_fn, max_residual=res)
-
-
-def _cumulative_integral(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(fs)
-    for i in range(1, len(xs)):
-        out[i] = out[i - 1] + 0.5 * (fs[i] + fs[i - 1]) * (xs[i] - xs[i - 1])
-    i0 = len(xs) // 2
-    return out - out[i0]
 
 
 def k0_solve(flat_conn: PlaneConnection, a: Vec2, chi: Poly,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,8 +6,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from petrov3 import cli
 from petrov3.cli import main
 from petrov3.pdesystem import lccne_generate
 
@@ -396,6 +402,19 @@ def test_classify_sheared_metric_golden_bytes(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_characteristics_fan_golden_bytes(tmp_path):
+    """The benchmark's fan (rho = z^2, sigma = -1, chi = z/2, z0 = 9/10, extent 0.3)
+    keeps the bytes the list-form encoder wrote: same size and sha256."""
+    golden = json.loads((Path(__file__).parent / "golden" / "fan_sha256.json").read_text())
+    pde = tmp_path / "pde.json"
+    pde.write_text(json.dumps(golden["cliFan"]["pde"]))
+    out = tmp_path / "fan.json"
+    assert run(["solve", "--method", "characteristics", "--pde", str(pde), "--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert len(text) == golden["cliFan"]["bytes"]
+    assert hashlib.sha256(text).hexdigest() == golden["cliFan"]["sha256"]
+
+
 def test_classify_connection_passthrough(tmp_path):
     conn = {"case": "II", "psi": [{"e": [0, 1, 0, 0], "c": "1"}], "chi": []}
     cfile = tmp_path / "conn.json"
@@ -490,9 +509,8 @@ COMMANDS = ["build", "verify", "classify-metric", "classify-connection", "solve-
 @pytest.mark.parametrize("command", COMMANDS)
 def test_streamed_output_equals_one_shot_text(tmp_path, capsys, monkeypatch, command_argvs,
                                               command, where):
-    """The chunks the encoder streams add up to the one-shot text of the same payload."""
-    from petrov3 import cli
-
+    """The chunks the encoder streams add up to the one-shot text of the same payload,
+    its arrays taken as lists."""
     payloads, write = [], cli._write
     monkeypatch.setattr(cli, "_write", lambda fh, payload: (payloads.append(payload),
                                                             write(fh, payload))[1])
@@ -500,21 +518,51 @@ def test_streamed_output_equals_one_shot_text(tmp_path, capsys, monkeypatch, com
     capsys.readouterr()
     assert run(command_argvs[command] + ["--out", str(out) if where == "file" else "-"]) == 0
     (payload,) = payloads
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
     if where == "file":
         assert out.read_bytes() == expected.encode()
     else:
         assert capsys.readouterr().out == expected
 
 
-def test_characteristics_solve_peak_memory(tmp_path):
-    """One 601 x 41 fan solve holds neither the whole text nor the residual's
-    temporaries beside the fan's lists: its traced peak stays below 2.5x the
-    bytes it writes (about 6.4x when the text was built in one piece)."""
-    import tracemalloc
+def _as_lists(obj):
+    """``obj`` with every numpy array replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
 
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")]
+_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_leaves = (st.none() | st.booleans() | st.integers() | _floats | st.text()
+           | st.lists(_floats, max_size=6)
+           | hnp.arrays(np.float64, _shapes, elements=_floats)
+           | hnp.arrays(np.int64, _shapes, elements=st.integers(-2 ** 62, 2 ** 62)))
+_payloads = st.recursive(_leaves, lambda kids: st.lists(kids, max_size=4)
+                         | st.dictionaries(st.text(), kids, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads)
+@example({"ü€": SPECIAL_FLOATS, "": [], "a": {}, "b": [True, None, -3, "\u00e9\n"],
+          "rows": np.array([SPECIAL_FLOATS, [0.1, -2.5, 3e-7, 1.0, -1e22, 7.0]]),
+          "empty": [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0))],
+          "ints": np.arange(6).reshape(2, 3)})
+def test_chunks_equal_stdlib_text(payload):
+    """The streamed encoder writes exactly the stdlib's indented, key-sorted text."""
+    expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True)
+    assert "".join(cli._chunks(payload)) == expected
+
+
+def _solve_peak(tmp_path, pde) -> tuple:
+    """(traced peak, output path) of the second of two identical characteristics solves."""
     pfile = tmp_path / "pde.json"
-    pfile.write_text(json.dumps(GAUGE_PDE))
+    pfile.write_text(json.dumps(pde))
     out = tmp_path / "fan.json"
     argv = ["solve", "--method", "characteristics", "--pde", str(pfile), "--out", str(out)]
     assert run(argv) == 0                       # imports and compiled evaluators settle
@@ -524,7 +572,24 @@ def test_characteristics_solve_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * out.stat().st_size
+    return peak, out
+
+
+def test_characteristics_solve_peak_memory(tmp_path):
+    """One 601 x 41 fan solve holds neither the whole text, nor the fan's list
+    form, nor the residual's temporaries: its traced peak stays below 1.5x the
+    bytes it writes (about 1.9x with the list form, 6.4x with the whole text)."""
+    peak, out = _solve_peak(tmp_path, GAUGE_PDE)
+    assert peak < 1.5 * out.stat().st_size
+
+
+def test_large_fan_solve_peak_memory(tmp_path):
+    """A 6001 x 41 fan solve peaks below 2.5x the bytes of its three node arrays
+    (about 5.3x when the fan was turned into lists before it was written)."""
+    peak, out = _solve_peak(tmp_path, {**GAUGE_PDE, "step": 1e-4})
+    fan = json.loads(out.read_text())
+    assert (len(fan["t"]), len(fan["s"])) == (6001, 41)
+    assert peak < 2.5 * 3 * 6001 * 41 * 8
 
 
 @pytest.mark.parametrize("command", COMMANDS)

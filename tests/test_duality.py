@@ -7,7 +7,7 @@ from petrov3 import builder
 from petrov3.builder import (assemble_metric, derived_scalars, eta_theta_extension, f_operator,
                              zeta_matrix)
 from petrov3.duality import (PAIRS, DegenerateFrame, NotSelfAdjoint,
-                             NotTraceFree, NotTypeIII, TwoFormField, WeylEndo,
+                             NotTraceFree, NotTypeIII, WeylEndo,
                              canonical_frame, curvature_on_forms,
                              frac_eval_matrix, hodge_star, inverse_gram_pairs,
                              mat_mul, matrix_is_zero, normal_triple,
@@ -16,8 +16,8 @@ from petrov3.exactfield import RatFn, sample_points
 from petrov3.pdesystem import lccne_generate
 from petrov3.tensorcalc import (ChartMetric, christoffel, metric_inverse, riemann,
                                 weyl, zero_matrix)
-from tests_lemma_helper import (pairs_to_matrix, twoform_from_flat, twoform_inner,
-                                weyl_plus_minus)
+from tests_lemma_helper import (TwoFormField, pairs_to_matrix, twoform_from_flat,
+                                twoform_inner, weyl_plus_minus)
 
 DIM = 4
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,11 @@ from petrov3.pdesolve import (_BLOCK_NODES, CallableConnection, CharacteristicCr
                               _interior_chain_rule,
                               characteristics_solve, classify_connection,
                               connection_normal_form, gauge_fix, gauge_pde)
-from petrov3.pdesystem import (PlaneConnection, SectionPair, flat_case_solve,
-                               from_connection_pair, k0_solve, lccne_generate, omega_pair,
-                               residual_eqn, residual_loc, to_connection_pair)
+from petrov3.pdesystem import (PlaneConnection, SectionPair, from_connection_pair, k0_solve,
+                               lccne_generate, omega_pair, residual_eqn, residual_loc,
+                               to_connection_pair)
 from petrov3.tensorcalc import fd4
+from tests_flat_helper import flat_case_solve
 from tests_lemma_helper import brd_eigen_diagnostics, fan_max_error, residual_brd
 
 ZERO = Poly({}, 4)
@@ -545,6 +548,22 @@ def test_gauge_fix_reduces_brd2(gauged_ia):
     conn, sp, ic = gauged_ia
     gp = gauge_fix(conn, sp, ic, step=1e-3, extent=0.3, nsamples=21)
     assert gp.brd2_max_residual <= 1e-6
+
+
+def test_gauge_fix_golden_bits(gauged_ia):
+    """The case-Ia gauge fan of the benchmark keeps its bits: the sha256 of its
+    node arrays and the residual are those the per-stage-broadcast RK4 wrote.
+    The coefficients have exponents at most 2, so numpy's powers round the same
+    on every CPU."""
+    golden = json.loads((Path(__file__).parent / "golden" / "fan_sha256.json").read_text())
+    g = golden["gaugeIa"]
+    conn, sp, _ = gauged_ia
+    ic = InitialCurve(axis="y2", offset=0.0, values=lambda s: g["z0"])
+    gp = gauge_fix(conn, sp, ic, step=g["step"], extent=g["extent"], nsamples=g["nsamples"])
+    assert list(gp.fan.z.shape) == g["shape"]
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (gp.fan.y1, gp.fan.y2, gp.fan.z)))
+    assert digest.hexdigest() == g["sha256"]
+    assert gp.brd2_max_residual.hex() == g["brd2MaxResidual"]
 
 
 def test_gauge_fix_callable_connection():

@@ -17,14 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from petrov3.builder import (SolutionData, form_pair, gamma_extended, metric_pair,
-                             octuple_fields, sum_form)
+from petrov3.builder import SolutionData, form_pair, metric_pair, octuple_fields
 from petrov3.exactfield import Poly, RatFn
 from petrov3.pdesolve import connection_normal_form
 from petrov3.pdesystem import k0_solve, lccne_generate
 from petrov3.verify import VerificationBundle
 from tests_lemma_helper import (alpha_extended, covariant_derivative_2form,
-                                exterior_derivative_1form, wedge_1forms)
+                                exterior_derivative_1form, gamma_extended, sum_form,
+                                wedge_1forms)
 
 DIM = 4
 ZERO = Poly({}, 4)

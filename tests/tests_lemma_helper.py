@@ -5,16 +5,17 @@ vanish, a closed form to compare against) in terms of the package's public
 objects; the package itself never needs them.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List
 
 import numpy as np
 
 from petrov3.builder import (NV, DerivedScalars, FOperator, FrameField, SolutionData,
-                             apply_morphism, gamma_extended, phi_ratfn, raise_second_index,
-                             sum_form, zeta_matrix)
-from petrov3.duality import (NPAIRS, HodgeOperator, TwoFormField, curvature_on_forms,
-                             inverse_gram_pairs, project, sd_projectors)
+                             apply_morphism, gamma_via_connection, metric_pair, phi_ratfn,
+                             raise_second_index, zeta_matrix)
+from petrov3.duality import (NPAIRS, HodgeOperator, curvature_on_forms, inverse_gram_pairs,
+                             project, sd_projectors)
 from petrov3.exactfield import RatFn, X1, X2
 from petrov3.pdesolve import CharacteristicFan
 from petrov3.pdesystem import PlaneConnection, SectionPair, omega_pair
@@ -87,6 +88,54 @@ def gamma_closed_form(sol: SolutionData, ds: DerivedScalars) -> Dict[str, RatFn]
     g_c = coefE * phi / 4
     g_a = (coefE * (-x1) - coefL) / 4
     return {"c": g_c, "a": g_a}
+
+
+def gamma_extended(m: ChartMetric, gam: ChristoffelField, frame: FrameField) -> List[RatFn]:
+    """The full 1-form gamma~ in coordinate components.
+
+    On verticals it is the value extracted from covariant derivatives of the
+    deformed frame; on the frame directions gamma~(w~_j) comes from the same
+    defining relation, and the coordinate components follow from
+    d_j = w~_j - F d_j, F d_j being the vertical part of w~_j.
+    """
+    zeta_12 = 2 / phi_ratfn()
+    vert = gamma_via_connection(m, gam, frame)
+
+    def gamma_of(vec: List[RatFn]) -> RatFn:
+        nabla = _covariant_derivative_along(vec, frame.w1, gam)
+        return -metric_pair(m, nabla, frame.w2) / zeta_12
+
+    out = [RatFn.const(0, NV)] * DIM
+    out[2], out[3] = vert["c"], vert["a"]
+    for j, w in ((0, frame.w1), (1, frame.w2)):
+        gamma_w = gamma_of(w)
+        Fc, Fa = w[2], w[3]
+        out[j] = gamma_w - Fc * out[2] - Fa * out[3]
+    return out
+
+
+def sum_form(form: List[RatFn], vec: List[RatFn]) -> RatFn:
+    s = RatFn.const(0, NV)
+    for i in range(DIM):
+        if not vec[i].is_zero():
+            s = s + form[i] * vec[i]
+    return s
+
+
+def _covariant_derivative_along(direction: List[RatFn], vec: List[RatFn],
+                                gam: ChristoffelField) -> List[RatFn]:
+    out = []
+    for mcomp in range(DIM):
+        s = RatFn.const(0, NV)
+        for a in range(DIM):
+            if direction[a].is_zero():
+                continue
+            term = vec[mcomp].diff(a)
+            for b in range(DIM):
+                term = term + gam.gamma[mcomp][a][b] * vec[b]
+            s = s + direction[a] * term
+        out.append(s)
+    return out
 
 
 def alpha_extended(m: ChartMetric, ginv, gam: ChristoffelField,
@@ -206,6 +255,25 @@ def pairs_to_matrix(vec, zero) -> List[List]:
         out[a][b] = vec[I]
         out[b][a] = -vec[I]
     return out
+
+
+@dataclass
+class TwoFormField:
+    """Antisymmetric 4x4 matrix of rational functions."""
+
+    comp: List[List[RatFn]]
+
+    def __post_init__(self):
+        for a in range(DIM):
+            for b in range(DIM):
+                if not (self.comp[a][b] + self.comp[b][a]).is_zero():
+                    raise ValueError("two-form not antisymmetric")
+
+    def flat(self) -> List[RatFn]:
+        return [self.comp[a][b] for (a, b) in PAIRS]
+
+    def eval(self, coords) -> List[List[Fraction]]:
+        return [[self.comp[a][b].eval(coords) for b in range(DIM)] for a in range(DIM)]
 
 
 def twoform_from_flat(vec) -> TwoFormField:
