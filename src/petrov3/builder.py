@@ -355,18 +355,6 @@ def htilde_frame(op: FOperator) -> FrameField:
     return FrameField(w1=w1, w2=w2, c=c, a=a)
 
 
-def metric_pair(m: ChartMetric, u: List[RatFn], v: List[RatFn]) -> RatFn:
-    s = RatFn.const(0, NV)
-    for i in range(DIM):
-        if u[i].is_zero():
-            continue
-        for j in range(DIM):
-            if v[j].is_zero():
-                continue
-            s = s + u[i] * m.g[i][j] * v[j]
-    return s
-
-
 def form_pair(omega: List[List[RatFn]], u: List[RatFn], v: List[RatFn]) -> RatFn:
     s = RatFn.const(0, NV)
     for i in range(DIM):
@@ -469,7 +457,7 @@ def gamma_via_connection(m: ChartMetric, gam: ChristoffelField,
     out = {}
     for name, vidx in (("c", 2), ("a", 3)):
         nabla = _covariant_derivative_along_coordinate(frame.w1, vidx, gam)
-        val = metric_pair(m, nabla, frame.w2)
+        val = form_pair(m.g, nabla, frame.w2)
         out[name] = -val / zeta_12
     return out
 

@@ -17,6 +17,7 @@ unwritable --out, 3 solution-consistency failure, 4 solver geometry failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import builder, duality, pdesolve, pdesystem, tensorcalc, verify as verify_mod
 from .builder import EqnResidualNonzero, SolutionData
-from .exactfield import PoleAtPoint, Point, Poly, RatFn, sample_points
+from .exactfield import PoleAtPoint, Poly, RatFn, sample_points
 from .pdesolve import (CharacteristicCrossing, InitialCurve, InvalidFanGrid, QuasiLinearPDE,
                        TangentInitialCurve, ZeroCrossing)
 
@@ -105,28 +106,59 @@ def _dump(path: str | None, payload) -> None:
         raise
 
 
+class MalformedInput(Exception):
+    """Outside input (a file, a JSON option or a number) could not be parsed."""
+
+
+# what parsing outside input raises: unreadable files, bad JSON, bad Fraction
+# and float literals, missing keys, wrong shapes and types, zero denominators,
+# floats out of range and nesting too deep for the JSON decoder
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError,
+              ZeroDivisionError, OverflowError, RecursionError)
+
+
+@contextlib.contextmanager
+def _parsing():
+    """Re-raise anything raised while outside input is parsed as MalformedInput."""
+    try:
+        yield
+    except _MALFORMED as exc:
+        raise MalformedInput(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _term_list_arg(text: str | None, nvars: int) -> Poly | None:
+    return Poly.from_json(json.loads(text), nvars=nvars) if text else None
+
+
+def _points(args, connection: bool) -> list:
+    """``--points`` rows, else ``--n-points`` seeded samples, as Fraction tuples.
+
+    A metric takes chart rows (y1, y2, x1, x2); a connection takes (y1, y2)
+    from rows of 2 or 4 entries.
+    """
+    if args.n_points < 1:
+        raise MalformedInput(f"--n-points {args.n_points} is below 1")
+    rows = (_load_json(args.points) if args.points
+            else [p.coords for p in sample_points(args.n_points, seed=args.seed)])
+    sizes = (2, 4) if connection else (4,)
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) not in sizes:
+            raise MalformedInput(f"point row {row!r} is not a list of "
+                                 + " or ".join(map(str, sizes)) + " entries")
+    return [tuple(Fraction(str(c)) for c in row[:sizes[0]]) for row in rows]
 
 
 def cmd_build(args) -> int:
-    try:
+    with _parsing():
         sol = SolutionData.from_json(_load_json(args.input))
         if args.r_override is not None:
-            sol = sol.with_r_override(_parse_fraction(args.r_override))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ds = builder.derived_scalars(sol)
-    except EqnResidualNonzero as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            sol = sol.with_r_override(Fraction(args.r_override))
+    ds = builder.derived_scalars(sol)
     m = builder.assemble_metric(sol, args.orientation or 1)
     det = tensorcalc.metric_det(m)
     payload = {
@@ -140,42 +172,27 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        data = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
     checks = tuple(args.checks.split(",")) if args.checks else verify_mod.ALL_CHECKS
-    if "components" in data:
-        try:
+    with _parsing():
+        unknown = sorted(set(checks) - set(verify_mod.ALL_CHECKS))
+        if unknown:
+            raise MalformedInput("unknown checks: " + ",".join(unknown))
+        K = Fraction(args.K or 0)
+        data = _load_json(args.input)
+        if "components" in data:
             sol = SolutionData.from_json(data)
-        except (KeyError, ValueError) as exc:
-            print(f"error: malformed input: {exc}", file=sys.stderr)
-            return 2
-        try:
-            reports = verify_mod.run_suite(sol, checks=checks, seed=args.seed,
-                                           orientation=args.orientation)
-        except EqnResidualNonzero as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        else:
+            sol, m = None, tensorcalc.ChartMetric.from_json(data.get("metric", data))
+    if sol is not None:
+        reports = verify_mod.run_suite(sol, checks=checks, seed=args.seed,
+                                       orientation=args.orientation)
     else:
         # bare metric input: only the Einstein check is available
-        try:
-            m = tensorcalc.ChartMetric.from_json(data.get("metric", data))
-        except (KeyError, ValueError) as exc:
-            print(f"error: malformed input: {exc}", file=sys.stderr)
-            return 2
-        K = _parse_fraction(args.K) if args.K else Fraction(0)
-        reports = []
-        for name in checks:
-            if name == "einstein":
-                reports.append(verify_mod.verify_einstein_metric(m, K))
-            else:
-                reports.append(verify_mod.CheckReport(
-                    name=name, mode="exact", status="indeterminate",
-                    residual_max="skipped: check requires solution-data input"))
-    payload = [r.to_json() for r in reports]
-    _dump(args.out, payload)
+        reports = [verify_mod.verify_einstein_metric(m, K) if name == "einstein" else
+                   verify_mod.CheckReport(name=name, mode="exact", status="indeterminate",
+                                          residual_max="skipped: check requires solution-data input")
+                   for name in checks]
+    _dump(args.out, [r.to_json() for r in reports])
     failed = [r for r in reports if r.status == "fail"]
     if failed:
         print(f"{len(failed)} check(s) failed: " + ", ".join(r.name for r in failed),
@@ -184,141 +201,90 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _term_list_arg(text: str | None, nvars: int) -> Poly | None:
-    return Poly.from_json(json.loads(text), nvars=nvars) if text else None
-
-
-# what malformed JSON term lists and numbers raise while they are parsed
-_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
-
-
 def cmd_solve(args) -> int:
     if args.family == "lccne":
-        try:
+        with _parsing():
             paa, pac = _term_list_arg(args.paa, 1), _term_list_arg(args.pac, 1)
-            K, const0 = _parse_fraction(args.K or "1"), _parse_fraction(args.const0 or "1")
-        except _MALFORMED as exc:
-            print(f"error: malformed input: {exc!r}", file=sys.stderr)
-            return 2
+            K, const0 = Fraction(args.K or "1"), Fraction(args.const0 or "1")
         _dump(args.out, pdesystem.lccne_generate(K, const0, paa, pac).to_json())
         return 0
     if args.family == "k0":
         conn = pdesolve.connection_normal_form("III")
         a = (RatFn.const(0, 4), RatFn.const(1, 4))
-        try:
+        with _parsing():
             chi = _term_list_arg(args.chi, 4) or Poly({}, 4)
             _, sol = pdesystem.k0_solve(conn, a, chi)    # ValueError if chi depends on the fibre
-        except _MALFORMED as exc:
-            print(f"error: malformed input: {exc!r}", file=sys.stderr)
-            return 2
-        r1, r2 = pdesystem.residual_eqn(sol)
-        if not (r1.is_zero() and r2.is_zero()):
-            print("error: k0 solution fails the residual equations", file=sys.stderr)
-            return 3
+        if not all(r.is_zero() for r in pdesystem.residual_eqn(sol)):
+            raise EqnResidualNonzero("k0 solution fails the residual equations")
         _dump(args.out, sol.to_json())
         return 0
-    if args.method == "characteristics":
-        try:
-            data = _load_json(args.pde)
-            pde = QuasiLinearPDE.from_json(data)
-            step = float(data.get("step", args.step))
-            extent = float(data.get("extent", args.extent))
-            ic = InitialCurve.from_json(data["initialCurve"], extent=extent)
-        except (OSError, *_MALFORMED) as exc:
-            print(f"error: malformed input: {exc}", file=sys.stderr)
-            return 2
-        try:
-            fan = pdesolve.characteristics_solve(pde, ic, step=step, extent=extent)
-        except InvalidFanGrid as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (TangentInitialCurve, ZeroCrossing, CharacteristicCrossing) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        payload = {"t": fan.t, "s": fan.s, "y1": fan.y1, "y2": fan.y2, "z": fan.z,
-                   "maxPdeResidual": fan.max_residual()}
-        _dump(args.out, payload)
-        return 0
-    print("error: need --family lccne|k0 or --method characteristics", file=sys.stderr)
-    return 2
+    if args.method != "characteristics":
+        raise MalformedInput("need --family lccne|k0 or --method characteristics")
+    with _parsing():
+        data = _load_json(args.pde)
+        pde = QuasiLinearPDE.from_json(data)
+        step = float(data.get("step", args.step))
+        extent = float(data.get("extent", args.extent))
+        ic = InitialCurve.from_json(data["initialCurve"], extent=extent)
+    fan = pdesolve.characteristics_solve(pde, ic, step=step, extent=extent)
+    payload = {"t": fan.t, "s": fan.s, "y1": fan.y1, "y2": fan.y2, "z": fan.z,
+               "maxPdeResidual": fan.max_residual()}
+    _dump(args.out, payload)
+    return 0
 
 
 def cmd_classify(args) -> int:
-    try:
+    with _parsing():
+        if args.zero_tol is not None and not 0 <= args.zero_tol < np.inf:
+            raise MalformedInput(f"--zero-tol {args.zero_tol} is not finite and non-negative")
         data = _load_json(args.input)
-        is_connection = "Gamma" in data or "case" in data
-        pts = _base_points(args) if is_connection else _chart_points(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
-    if is_connection:
+        conn = None
         if "case" in data:
             conn = pdesolve.connection_normal_form(
                 data["case"],
                 Poly.from_json(data["psi"], 4) if data.get("psi") else None,
                 Poly.from_json(data["chi"], 4) if data.get("chi") else None,
                 Poly.from_json(data["p"], 1) if data.get("p") else None)
-        else:
+        elif "Gamma" in data:
             conn = pdesystem.PlaneConnection.from_json(data)
-        if args.mode == "exact" and not isinstance(conn, pdesystem.PlaneConnection):
-            print("error: connection requires transcendental data; rerun with "
-                  "--mode numeric", file=sys.stderr)
-            return 2
+        else:
+            m = tensorcalc.ChartMetric.from_json(data.get("metric", data))
+        if args.mode == "exact" and isinstance(conn, pdesolve.CallableConnection):
+            raise MalformedInput("connection requires transcendental data; rerun with "
+                                 "--mode numeric")
+        pts = _points(args, connection=conn is not None)
+    if conn is not None:
         _dump(args.out, pdesolve.classify_connection(conn, pts, zero_tol=args.zero_tol))
         return 0
-
-    try:
-        m = tensorcalc.ChartMetric.from_json(data.get("metric", data))
-    except (KeyError, ValueError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
     # the inverse, Γ, R/Ric/scalar and the volume density are symbolic; W, the
     # star, P+- and P W P are formed from their values at each point
     ctx = verify_mod.VerificationBundle(None, m)
-    try:
-        forms = [ctx.forms_at(p.coords) for p in pts]
-    except PoleAtPoint as exc:
-        print(f"error: pole at sample point: {exc}", file=sys.stderr)
-        return 2
+    forms = [ctx.forms_at(p) for p in pts]
     verdicts = []
     for orient, label in ((1, "Wplus"), (-1, "Wminus")):
         for p, (W2, star, g2) in zip(pts, forms):
-            endo = duality.weyl_endo(W2, duality.projector(star, orient), g2, p.coords)
-            verdicts.append({"part": label, **duality.petrov_classify(endo).to_json(p.coords)})
+            endo = duality.weyl_endo(W2, duality.projector(star, orient), g2, p)
+            verdicts.append({"part": label, **duality.petrov_classify(endo).to_json(p)})
     _dump(args.out, verdicts)
     return 0
 
 
 def cmd_invariant(args) -> int:
-    try:
+    with _parsing():
         sol = SolutionData.from_json(_load_json(args.input))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ctx = verify_mod.VerificationBundle.build(sol)
-    except EqnResidualNonzero as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    ctx = verify_mod.VerificationBundle.build(sol)
     rep = verify_mod.nonhomogeneity_witness(ctx, seed=args.seed)
     payload = {"invariant": ctx.invariant.to_json(), "report": rep.to_json()}
     _dump(args.out, payload)
     return 0 if rep.status != "fail" else 1
 
 
-def _chart_points(args):
-    if args.points:
-        data = _load_json(args.points)
-        return [Point(tuple(Fraction(str(c)) for c in row)) for row in data]
-    return sample_points(args.n_points, seed=args.seed)
-
-
-def _base_points(args):
-    if args.points:
-        data = _load_json(args.points)
-        return [tuple(Fraction(str(c)) for c in row) for row in data]
-    pts = sample_points(args.n_points, seed=args.seed)
-    return [(p.coords[0], p.coords[1]) for p in pts]
+# exit code and stderr prefix of each failure a command raises; any other
+# exception is a fault of the program and ends in a traceback
+_FAILURES = {OutputError: (2, "cannot write output: "), MalformedInput: (2, "malformed input: "),
+             PoleAtPoint: (2, "pole at sample point: "), InvalidFanGrid: (2, ""),
+             EqnResidualNonzero: (3, ""),
+             TangentInitialCurve: (4, ""), ZeroCrossing: (4, ""), CharacteristicCrossing: (4, "")}
 
 
 def main(argv=None) -> int:
@@ -381,9 +347,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except OutputError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(_FAILURES[cls] for cls in type(exc).__mro__ if cls in _FAILURES)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

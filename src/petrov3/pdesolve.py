@@ -305,6 +305,8 @@ class InitialCurve:
             fn = lambda s: float(p.eval((s,)))
         else:
             vals = np.asarray([float(v) for v in data["values"]], dtype=float)
+            if not vals.size:
+                raise ValueError("initial curve has no values")
             ss = np.linspace(-extent, extent, len(vals))
             fn = lambda s: float(np.interp(s, ss, vals))
         return cls(axis=data["axis"], offset=float(data.get("offset", 0.0)), values=fn)
@@ -348,14 +350,20 @@ class CharacteristicFan:
 _BLOCK_NODES = 1 << 13
 
 
+def _row_blocks(start: int, stop: int, width: int) -> list:
+    """Slices cutting rows start <= i < stop of `width` nodes each into blocks of
+    about _BLOCK_NODES nodes."""
+    rows = max(1, _BLOCK_NODES // width)
+    return [slice(r, min(r + rows, stop)) for r in range(start, stop, rows)]
+
+
 def _interior_chain_rule(fan: CharacteristicFan):
     """Yield `_chain_rule_rows` on blocks of time steps of about _BLOCK_NODES interior nodes."""
     n, m = fan.z.shape
     if min(n, m) < 5:
         return
-    rows = max(1, _BLOCK_NODES // (m - 4))
-    for r0 in range(2, n - 2, rows):
-        yield _chain_rule_rows(fan, r0, min(r0 + rows, n - 2))
+    for b in _row_blocks(2, n - 2, m - 4):
+        yield _chain_rule_rows(fan, b.start, b.stop)
 
 
 def _chain_rule_rows(fan: CharacteristicFan, r0: int, r1: int):
@@ -433,16 +441,16 @@ def characteristics_solve(pde: QuasiLinearPDE, ic: InitialCurve, step: float = 1
                 k3 = field(state + 0.5 * h * k2)
                 k4 = field(state + h * k3)
                 grid[:, i] = state + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    bad = np.count_nonzero(~np.isfinite(grid).all(axis=0))
+    blocks = _row_blocks(0, len(ts), nsamples)
+    bad = sum(np.count_nonzero(~np.isfinite(grid[:, b]).all(axis=0)) for b in blocks)
     if bad:
         raise NonFiniteFan(f"characteristic fan has {bad} non-finite nodes "
                            "(the solution blows up within the extent)")
 
     y1g, y2g, zg = grid
     along = y2g if ic.axis == "y1" else y1g
-    diffs = np.diff(along, axis=1)
-    sgn0 = np.sign(diffs[i0, :])
-    if np.any(diffs * sgn0[None, :] <= 0):
+    sgn0 = np.sign(np.diff(along[i0]))
+    if any(np.any(np.diff(along[b], axis=1) * sgn0 <= 0) for b in blocks):
         raise CharacteristicCrossing("characteristic fan folds over")
     return CharacteristicFan(y1=y1g, y2=y2g, z=zg, t=ts, s=ss, pde=pde)
 

@@ -8,7 +8,7 @@ from petrov3.builder import (COMPONENT_NAMES, EqnResidualNonzero, SolutionData,
                              eta_theta_extension, f_operator, fibre_forms, form_pair,
                              gamma_u_via_connection, gamma_via_connection,
                              htilde_frame, invariant_gamma_u,
-                             metric_pair, octuple_fields, phi_ratfn,
+                             octuple_fields, phi_ratfn,
                              raise_second_index, apply_morphism, zeta_matrix)
 from petrov3.exactfield import Poly, RatFn, sample_points
 from petrov3.pdesystem import lccne_generate
@@ -294,8 +294,8 @@ def test_frame_is_null_and_zeta_unchanged(generic):
     fr = htilde_frame(f_operator(sol, ds))
     for u in (fr.w1, fr.w2):
         for v in (fr.w1, fr.w2):
-            assert metric_pair(m, u, v).is_zero()
-    assert metric_pair(m, fr.c, fr.a).is_zero()
+            assert form_pair(m.g, u, v).is_zero()
+    assert form_pair(m.g, fr.c, fr.a).is_zero()
     zeta = zeta_matrix()
     val = form_pair(zeta, fr.w1, fr.w2)
     assert (val - 2 / phi_ratfn()).is_zero()

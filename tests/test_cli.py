@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -221,6 +223,7 @@ def test_solve_blow_up_exit4(tmp_path, capsys):
     ["--family", "k0", "--chi", "{bad"],
     ["--family", "k0", "--chi", '[{"e": [0, 1]}]'],
     ["--family", "k0", "--chi", '[{"e": [0, 0, 1, 0], "c": "1"}]'],
+    [],
 ])
 def test_solve_family_malformed_option_exit2(tmp_path, capsys, argv):
     out = tmp_path / "sol.json"
@@ -235,6 +238,8 @@ def test_solve_family_malformed_option_exit2(tmp_path, capsys, argv):
      "initialCurve": {"axis": "y3", "poly": []}},
     {"rho": [], "sigma": [], "chi": [], "step": "small", "initialCurve": {"axis": "y1", "poly": []}},
     [1, 2],
+    {"rho": [], "sigma": [], "chi": [], "step": 10 ** 400, "initialCurve": {"axis": "y1", "poly": []}},
+    {"rho": [], "sigma": [], "chi": [], "initialCurve": {"axis": "y1", "values": []}},
 ])
 def test_solve_malformed_pde_exit2(tmp_path, capsys, pde):
     pfile = tmp_path / "pde.json"
@@ -622,3 +627,116 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     assert proc.stderr.startswith("error: cannot write output: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# -- one failure policy: malformed input is exit 2 with one error line -----------------------
+
+
+@pytest.fixture()
+def malformed_argvs(tmp_path, lccne_file):
+    """One argv per kind of malformed input, without --out."""
+    from petrov3.builder import assemble_metric
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        return str(path)
+
+    metric = write("metric.json", assemble_metric(lccne_generate(1, 1)).to_json())
+    pair, g5 = write("pair.json", [1, 2]), write("g5.json", {"g": 5})
+    numeric_conn = write("conn.json", {"case": "Ia", "chi": [{"e": [1, 0, 0, 0], "c": "1"}]})
+    return {
+        "verify-K-abc": ["verify", "--input", metric, "--K", "abc"],
+        "verify-K-1/0": ["verify", "--input", metric, "--K", "1/0"],
+        "build-r-override-1/0": ["build", "--input", lccne_file, "--r-override", "1/0"],
+        "classify-2-entry-chart-row": ["classify", "--input", metric,
+                                       "--points", write("pts.json", [["0", "0"]])],
+        "classify-g-5": ["classify", "--input", g5],
+        "verify-g-5": ["verify", "--input", g5, "--K", "1"],
+        "build-list": ["build", "--input", pair],
+        "verify-list": ["verify", "--input", pair],
+        "classify-list": ["classify", "--input", pair],
+        "invariant-list": ["invariant", "--input", pair],
+        "classify-case-IV": ["classify", "--input", write("iv.json", {"case": "IV"})],
+        "classify-psi-c-x": ["classify", "--input", write(
+            "psi.json", {"case": "II", "psi": [{"e": [0, 1, 0, 0], "c": "x"}]})],
+        "classify-Gamma-shape": ["classify", "--input", write("gamma.json", {"Gamma": [[[]]]})],
+        "verify-checks-bogus": ["verify", "--input", lccne_file, "--checks", "bogus"],
+        "classify-zero-tol-nan": ["classify", "--input", numeric_conn, "--mode", "numeric",
+                                  "--zero-tol", "nan"],
+        "classify-n-points--1": ["classify", "--input", metric, "--n-points", "-1"],
+        "classify-1-entry-base-row": ["classify", "--input", numeric_conn, "--mode", "numeric",
+                                      "--points", write("base.json", [["0"]])],
+        "classify-nested-too-deep": ["classify", "--input",
+                                     write("deep.json", "[" * 100_000 + "]" * 100_000)],
+    }
+
+
+MALFORMED = ["verify-K-abc", "verify-K-1/0", "build-r-override-1/0", "classify-2-entry-chart-row",
+             "classify-g-5", "verify-g-5", "build-list", "verify-list", "classify-list",
+             "invariant-list", "classify-case-IV", "classify-psi-c-x", "classify-Gamma-shape",
+             "verify-checks-bogus", "classify-zero-tol-nan", "classify-n-points--1",
+             "classify-1-entry-base-row", "classify-nested-too-deep"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_exit2(tmp_path, capsys, malformed_argvs, case):
+    """Malformed input ends in exit 2 and one `error: malformed input:` line, no output."""
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(malformed_argvs[case] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed input: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+# keys and strings the input parsers look for, so that generated values reach past the top level
+_KEYS = ("K", "components", "metric", "g", "Gamma", "case", "psi", "chi", "p", "rho", "sigma",
+         "initialCurve", "axis", "offset", "poly", "values", "step", "extent", "e", "c", "num",
+         "den")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(("III", "II", "Ia", "y1", "y2", "1/0", "x")),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+@example({"rho": [], "sigma": [], "chi": [], "initialCurve": {"axis": "y1", "poly": []}})
+@example({"case": "II", "psi": [{"e": [1], "c": 1}]})
+def test_any_json_input_ends_in_an_exit_code(value):
+    """Whatever JSON value an input file holds, every command returns an exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "input.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+        for argv in (["build", "--input", path], ["verify", "--input", path],
+                     ["classify", "--input", path], ["invariant", "--input", path],
+                     ["solve", "--method", "characteristics", "--pde", path]):
+            assert type(run(argv + ["--out", out])) is int
+
+
+def _readme_command_lines():
+    """The lines of the README's "Command line" block, without comments and blank lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line and not line.startswith("#")]
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
+    """Each line of the README's "Command line" block, run in order in an empty
+    directory (`echo` lines as file writes), exits 0."""
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert any(line.startswith("petrov3 solve --method characteristics") for line in lines)
+    for line in lines:
+        words = shlex.split(line)
+        if words[0] == "echo":
+            assert words[2:3] == [">"] and len(words) == 4, line
+            (tmp_path / words[3]).write_text(words[1] + "\n")
+        else:
+            assert words[0] == "petrov3", line
+            assert run(words[1:]) == 0, line

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from petrov3.builder import SolutionData, form_pair, metric_pair, octuple_fields
+from petrov3.builder import SolutionData, form_pair, octuple_fields
 from petrov3.exactfield import Poly, RatFn
 from petrov3.pdesolve import connection_normal_form
 from petrov3.pdesystem import k0_solve, lccne_generate
@@ -81,7 +81,7 @@ def test_condition_vertical_curvature(setup):
         for u in (frame.c, frame.a):
             for v in (frame.c, frame.a):
                 # lowered: R(w, u, v, x) = K h(v, w) g(u, x) for every x
-                hvw = metric_pair(m, v, w)
+                hvw = form_pair(m.g, v, w)
                 for x in range(DIM):
                     lhs = RatFn.const(0, 4)
                     for a in range(DIM):
@@ -223,7 +223,7 @@ def test_gamma_bracket_identity(setup):
     z12 = form_pair(zeta, frame.w1, frame.w2)
     for w in (frame.w1, frame.w2):
         lhs = sum_form(gamma1, w) * z12
-        rhs = metric_pair(m, w, br)
+        rhs = form_pair(m.g, w, br)
         assert (lhs - rhs).is_zero()
 
 
@@ -259,7 +259,7 @@ def test_octuple_axioms(setup):
                 t = form_pair(theta, v, vp)
                 assert (t.diff(iu) + 2 * alpha_u * t).is_zero()
         for w in horizontals:
-            hw = [metric_pair(m, v, w) for v in verticals.values()]
+            hw = [form_pair(m.g, v, w) for v in verticals.values()]
             beta_w = sum_form(beta, w)
             # d_u h(v, w) = beta(w) theta(u, v); vertical parts of w are h-null
             for (iv, v), hvw in zip(verticals.items(), hw):
@@ -275,7 +275,7 @@ def test_octuple_axioms(setup):
         zw = apply_morphism(zsharp, w)
         assert (sum_form(alpha, zw) - 2 * sum_form(beta, w)).is_zero()
         for v in verticals.values():
-            assert (form_pair(theta, v, zw) - 2 * metric_pair(m, v, w)).is_zero()
+            assert (form_pair(theta, v, zw) - 2 * form_pair(m.g, v, w)).is_zero()
 
 
 # -- package layout ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from petrov3.builder import (NV, DerivedScalars, FOperator, FrameField, SolutionData,
-                             apply_morphism, gamma_via_connection, metric_pair, phi_ratfn,
+                             apply_morphism, form_pair, gamma_via_connection, phi_ratfn,
                              raise_second_index, zeta_matrix)
 from petrov3.duality import (NPAIRS, HodgeOperator, curvature_on_forms, inverse_gram_pairs,
                              project, sd_projectors)
@@ -103,7 +103,7 @@ def gamma_extended(m: ChartMetric, gam: ChristoffelField, frame: FrameField) -> 
 
     def gamma_of(vec: List[RatFn]) -> RatFn:
         nabla = _covariant_derivative_along(vec, frame.w1, gam)
-        return -metric_pair(m, nabla, frame.w2) / zeta_12
+        return -form_pair(m.g, nabla, frame.w2) / zeta_12
 
     out = [RatFn.const(0, NV)] * DIM
     out[2], out[3] = vert["c"], vert["a"]
